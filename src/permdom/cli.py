@@ -22,7 +22,7 @@ from .domination import (
     quick_rule_position_ends,
     quick_rule_value_ends,
 )
-from .errors import ParseError, PermdomError
+from .errors import BadSetting, ParseError, PermdomError
 from .graph import build_graph, is_connected
 from .perm import parse_permutation, reverse, strong_fixed_points
 
@@ -34,9 +34,25 @@ def _cap_from_env() -> int:
     if raw is None:
         return oracle.DEFAULT_CAP
     try:
-        return min(int(raw), oracle.HARD_CAP)
+        cap = int(raw)
     except ValueError:
-        return oracle.DEFAULT_CAP
+        cap = 0
+    if cap < 1:
+        raise BadSetting(f"PERMDOM_MAX_N must be a positive integer, got {raw!r}")
+    return min(cap, oracle.HARD_CAP)
+
+
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low` (else exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -134,7 +150,9 @@ def cmd_count(args) -> int:
         if args.c_table:
             table = _load_c_table(args.c_table)
         else:
-            table = oracle.c_table(args.n - 1, cap=_cap_from_env())
+            cap = _cap_from_env()
+            table = oracle.c_table(
+                args.n - 1, lambda n: oracle.full_tally(n, cap=cap))
         value = counting.disconnected_count(args.n, args.k, table)
         _emit_rows([(f"{args.n},{args.k}", str(value))], fmt, args.out, "d")
     return 0
@@ -278,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="evaluate a counting formula")
     what = p.add_subparsers(dest="what", required=True)
     q = what.add_parser("g1")
-    q.add_argument("--max-n", type=int, required=True)
+    q.add_argument("--max-n", type=_int_at_least(0), required=True)
     q = what.add_parser("f1")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_int_at_least(0), required=True)
     q = what.add_parser("pair")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--u", type=int, required=True)
@@ -318,24 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
     what = p.add_subparsers(dest="what", required=True)
     q = what.add_parser("tally")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=_int_at_least(1), default=1)
     q.add_argument("--allow-big", action="store_true",
                    help="raise the enumeration cap to n = 11 (slow)")
     add_out(q)
     q = what.add_parser("verify")
     q.add_argument("--max-n", type=int, default=6)
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=_int_at_least(1), default=1)
     add_out(q)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("seq", help="strong-fixed-point sequences")
     what = p.add_subparsers(dest="what", required=True)
     q = what.add_parser("st")
-    q.add_argument("--max-n", type=int, required=True)
+    q.add_argument("--max-n", type=_int_at_least(0), required=True)
     add_format(q)
     add_out(q)
     q = what.add_parser("g1")
-    q.add_argument("--max-n", type=int, required=True)
+    q.add_argument("--max-n", type=_int_at_least(0), required=True)
     add_format(q)
     add_out(q)
     q = what.add_parser("lift")
@@ -345,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every formula-vs-oracle check")
     p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     add_out(p)
     p.set_defaults(func=cmd_verify)
 
@@ -356,9 +374,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except PermdomError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`).  Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

@@ -54,19 +54,26 @@ def domination_number_exact(g: PermutationGraph) -> DominationResult:
     >>> r.gamma, sorted(r.witness)
     (2, [1, 2])
     """
-    rows = g.closed_rows()
-    full = g.full_mask()
-    for size in range(1, g.n + 1):
-        for combo in combinations(range(g.n), size):
+    combo = _minimum_cover(g.closed_rows(), g.full_mask())
+    return DominationResult(
+        gamma=len(combo),
+        witness=frozenset(i + 1 for i in combo),
+        method=EXACT,
+    )
+
+
+def _minimum_cover(rows: tuple[int, ...], full: int) -> tuple[int, ...]:
+    """0-based indices of the first set of rows whose or is `full`, by
+    increasing size and then lexicographically: the canonical minimum
+    dominating set when `rows` are the closed neighborhoods."""
+    n = len(rows)
+    for size in range(1, n + 1):
+        for combo in combinations(range(n), size):
             cover = 0
             for i in combo:
                 cover |= rows[i]
             if cover == full:
-                return DominationResult(
-                    gamma=size,
-                    witness=frozenset(i + 1 for i in combo),
-                    method=EXACT,
-                )
+                return combo
     raise AssertionError("every graph is dominated by its full vertex set")
 
 

@@ -5,6 +5,10 @@ class PermdomError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class BadSetting(PermdomError):
+    """An environment variable holds a value outside its valid range."""
+
+
 class ParseError(PermdomError):
     """One-line notation text could not be tokenized."""
 

@@ -60,16 +60,6 @@ class TallyCache:
             self._tallies[n] = oracle.full_tally(n, jobs=self.jobs)
         return self._tallies[n]
 
-    def c_table(self, max_n: int) -> counting.CountTable:
-        table = counting.CountTable(kind="c")
-        for n in range(1, max_n + 1):
-            report = self.tally(n)
-            for k, count in report.c.items():
-                table.entries[(n, k)] = count
-            if not report.c:
-                table.entries[(n, 0)] = 0
-        return table
-
 
 def _result(name, range_note, mismatches, detail=None) -> CheckResult:
     return CheckResult(
@@ -151,28 +141,13 @@ def check_pair_counts(max_n: int) -> CheckResult:
     """Pair-domination formulas against a direct enumeration split."""
     bad = []
     for n in range(2, max_n + 1):
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
         # One pass over S_n, classifying every (u, v) at once.
-        nonadj = {}
-        adj = {}
-        for p in oracle.iter_permutations(n):
-            g = build_graph(p)
-            rows = g.closed_rows()
-            full = g.full_mask()
-            for u in range(1, n + 1):
-                for v in range(u + 1, n + 1):
-                    if rows[u - 1] | rows[v - 1] != full:
-                        continue
-                    key = (u, v)
-                    if g.has_edge(u, v):
-                        adj[key] = adj.get(key, 0) + 1
-                    else:
-                        nonadj[key] = nonadj.get(key, 0) + 1
-        for u in range(1, n + 1):
-            for v in range(u + 1, n + 1):
-                if counting.pair_count_nonadjacent(n, u, v) != nonadj.get((u, v), 0):
-                    bad.append(f"nonadjacent ({n},{u},{v})")
-                if counting.pair_count_adjacent(n, u, v) != adj.get((u, v), 0):
-                    bad.append(f"adjacent ({n},{u},{v})")
+        for (u, v), (nonadj, adj) in oracle.pair_tallies(n, pairs).items():
+            if counting.pair_count_nonadjacent(n, u, v) != nonadj:
+                bad.append(f"nonadjacent ({n},{u},{v})")
+            if counting.pair_count_adjacent(n, u, v) != adj:
+                bad.append(f"adjacent ({n},{u},{v})")
     return _result("pair_counts_vs_oracle", f"n <= {max_n}, all u < v", bad)
 
 
@@ -187,23 +162,8 @@ def check_efficient_counts(max_n: int, max_size: int = 5) -> CheckResult:
             for size in range(2, min(max_size, n) + 1)
             for a in combinations(range(1, n + 1), size)
         ]
-        seen = {a: 0 for a in subsets}
-        for p in oracle.iter_permutations(n):
-            g = build_graph(p)
-            rows = g.closed_rows()
-            full = g.full_mask()
-            for a in subsets:
-                cover = 0
-                for v in a:
-                    row = rows[v - 1]
-                    if cover & row:
-                        break
-                    cover |= row
-                else:
-                    if cover == full:
-                        seen[a] += 1
-        for a in subsets:
-            if counting.efficient_dom_count(n, a) != seen[a]:
+        for a, seen in oracle.efficient_tallies(n, subsets).items():
+            if counting.efficient_dom_count(n, a) != seen:
                 bad.append(f"efficient ({n},{a})")
     return _result(
         "efficient_counts_vs_oracle", f"n <= {max_n}, 2 <= |A| <= {max_size}", bad
@@ -226,7 +186,8 @@ def check_disconnected_formula(cache: TallyCache, max_n: int) -> CheckResult:
     bad = []
     for n in range(1, max_n + 1):
         report = cache.tally(n)
-        ctab = cache.c_table(n - 1) if n > 1 else counting.CountTable(kind="c")
+        ctab = (oracle.c_table(n - 1, cache.tally) if n > 1
+                else counting.CountTable(kind="c"))
         ks = set(report.g) | set(report.d)
         for k in sorted(ks):
             want = report.d.get(k, 0)
@@ -321,23 +282,27 @@ def check_heuristic(max_n: int, soft_rate: float = 0.90) -> CheckResult:
 
 def check_invariant_suite(max_n: int) -> CheckResult:
     """Degree/parity bound, prefix-connectivity equivalence, component
-    reconstruction, singleton-position characterization, and the
-    strong-fixed-point reverse bijection, exhaustively."""
+    reconstruction, singleton-position characterization, the
+    strong-fixed-point reverse bijection, and the sweep engine's
+    incremental facts against the graph built from scratch, exhaustively."""
     bad = []
     for n in range(1, max_n + 1):
-        for p in oracle.iter_permutations(n):
+        for image, rows, connected, strong, singles in oracle.sweep(n):
+            p = Permutation(image)
             g = build_graph(p)
             if not degree_bound_check(g):
                 bad.append(f"degree bound [{p}]")
-            if is_connected(g) != is_connected_search(g):
+            if not (connected == is_connected(g) == is_connected_search(g)):
                 bad.append(f"connectivity [{p}]")
+            if rows != g.closed_rows() or strong != len(strong_fixed_points(p)):
+                bad.append(f"sweep facts [{p}]")
             rebuilt = []
             for offset, tau in components(g):
                 rebuilt.extend(v + offset for v in tau.image)
             if tuple(rebuilt) != p.image:
                 bad.append(f"components [{p}]")
             direct = count_singleton_dominators(g)
-            if direct != len(singleton_dominators_by_position(p)):
+            if not (singles == direct == len(singleton_dominators_by_position(p))):
                 bad.append(f"singleton characterization [{p}]")
             if direct != len(strong_fixed_points(reverse(p))):
                 bad.append(f"reverse bijection [{p}]")

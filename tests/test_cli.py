@@ -174,3 +174,56 @@ def test_allow_big_raises_cap(capsys, monkeypatch):
     assert code == 1 and "OrderCapExceeded" in err
     payload = run_json(capsys, "oracle", "tally", "--n", "5", "--allow-big")
     assert payload["n"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "tally", "--n", "3", "--jobs", "0"),
+    ("oracle", "tally", "--n", "3", "--jobs", "-2"),
+    ("oracle", "verify", "--max-n", "3", "--jobs", "0"),
+    ("verify", "--max-n", "3", "--jobs", "-1"),
+    ("count", "g1", "--max-n", "-5"),
+    ("count", "f1", "--n", "-1"),
+    ("seq", "g1", "--max-n", "-1"),
+    ("seq", "st", "--max-n", "-1"),
+])
+def test_out_of_range_sizes_and_jobs_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_tally_output_is_identical_across_jobs(capsys):
+    outputs = {run(capsys, "oracle", "tally", "--n", "5", "--jobs", j)[1]
+               for j in ("1", "2")}
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "nine"])
+def test_bad_permdom_max_n_is_an_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("PERMDOM_MAX_N", value)
+    code, out, err = run(capsys, "oracle", "tally", "--n", "3")
+    assert code == 1 and out == ""
+    assert "BadSetting" in err and "PERMDOM_MAX_N" in err
+
+
+def test_closed_stdout_exits_without_traceback():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    # About 190 kB of output: more than a pipe holds, so the writer is
+    # still writing when the reader goes away.
+    with subprocess.Popen(
+        [sys.executable, "-m", "permdom.cli", "count", "g1", "--max-n", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline().strip() == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+    assert code == 1
