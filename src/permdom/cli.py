@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="raise the enumeration cap to n = 11 (slow)")
     add_out(q)
     q = what.add_parser("verify")
-    q.add_argument("--max-n", type=int, default=6)
+    q.add_argument("--max-n", type=_int_at_least(1), default=6)
     q.add_argument("--jobs", type=_int_at_least(1), default=1)
     add_out(q)
     p.set_defaults(func=cmd_oracle)
@@ -357,12 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(q)
     add_out(q)
     q = what.add_parser("lift")
-    q.add_argument("--r", type=int, required=True)
+    q.add_argument("--r", type=_int_at_least(2), required=True)
     add_out(q)
     p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser("verify", help="run every formula-vs-oracle check")
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--max-n", type=_int_at_least(1), default=6)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     add_out(p)
     p.set_defaults(func=cmd_verify)

@@ -9,10 +9,11 @@ from .errors import (
     DisconnectedInput,
     InfeasibleGamma,
     OddOrder,
+    OrderTooLarge,
     OrderTooSmall,
 )
 from .graph import PermutationGraph, build_graph, is_connected
-from .perm import Permutation, decreasing
+from .perm import MAX_GRAPH_ORDER, Permutation, decreasing
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,8 @@ def connected_with_gamma(n: int, k: int) -> Permutation:
     for k = 2, and the sigma comb on 2k vertices for k >= 3; then repeated
     gamma-preserving insertions raise the order to n.
     """
+    if n > MAX_GRAPH_ORDER:
+        raise OrderTooLarge(f"n = {n} exceeds the {MAX_GRAPH_ORDER}-vertex cap")
     if k < 1 or k > n // 2:
         raise InfeasibleGamma(f"no connected graph on {n} vertices has gamma {k}")
     if k == 1:

@@ -1,15 +1,26 @@
 """Dominating sets of permutation graphs.
 
-The exact solver is the row-or search over the domination matrix (adjacency
-plus identity): a dominating set is a choice of rows whose bitwise or has no
-zeros.  Search runs by increasing cardinality and, within a cardinality, in
-lexicographic order of the sorted vertex list, so the returned witness is
-canonical.
+The exact solver searches the domination matrix (adjacency plus identity)
+for a choice of rows whose bitwise or has no zeros.  Search runs by
+increasing cardinality and, within a cardinality, in lexicographic order of
+the sorted vertex list, so the returned witness is canonical and the minimum
+dominating sets come out in lexicographic order.
+
+Within a cardinality the search is a depth-first walk over increasing index
+tuples, pruned by two rules.  Picks only increase, so the vertices the picks
+so far leave undominated can only be dominated by later picks, all at or
+after the next index.  Hence:
+- the next pick is at most the highest index in N[u], for the lowest
+  undominated vertex u;
+- undominated vertices whose closed neighborhoods share no index at or after
+  the next one each need a pick of their own, so a prefix with fewer picks
+  left than such vertices is abandoned.
+A branch either rule cuts holds no dominating set, so pruning drops no set
+and reorders none.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import NotDominating
 from .graph import PermutationGraph, vertices_of
@@ -66,30 +77,81 @@ def _minimum_cover(rows: tuple[int, ...], full: int) -> tuple[int, ...]:
     """0-based indices of the first set of rows whose or is `full`, by
     increasing size and then lexicographically: the canonical minimum
     dominating set when `rows` are the closed neighborhoods."""
-    n = len(rows)
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            cover = 0
-            for i in combo:
-                cover |= rows[i]
-            if cover == full:
-                return combo
+    return _minimum_covers(rows, full, 1)[0]
+
+
+def _minimum_covers(rows: tuple[int, ...], full: int,
+                    most: int | None = None) -> list[tuple[int, ...]]:
+    """The first `most` (default: all) smallest sets of rows whose or is
+    `full`, as sorted 0-based index tuples in lexicographic order.
+
+    Size 1 is a membership test.  Each larger size is one depth-first walk
+    over increasing tuples, cut by the two rules of the module docstring.
+    They cut only branches that hold no cover, so the walk finds the covers
+    in `itertools.combinations` order.
+    """
+    if full in rows:
+        return [(i,) for i, row in enumerate(rows) if row == full][:most]
+    found: list[tuple[int, ...]] = []
+    for size in range(2, len(rows) + 1):
+        _extend_covers(rows, full, (), 0, 0, size, found, most)
+        if found:
+            return found
     raise AssertionError("every graph is dominated by its full vertex set")
+
+
+def _extend_covers(rows, full, picks, start, cover, left, found, most) -> bool:
+    """Append to `found`, in lexicographic order, every cover that extends
+    `picks` (whose or is `cover`) by `left` >= 2 picks from index `start`
+    on; True once `found` holds `most` covers.  No prefix is a cover itself
+    (a smaller cover would have ended the search at its own size), so some
+    index is always missing.  The last pick is scanned in place rather than
+    by a further call, since most calls end there; the bound on picks needed
+    is skipped for the last two picks, where it costs more than it cuts.
+    """
+    n = len(rows)
+    missing = full ^ cover
+    if left > 2 and _picks_needed(rows, missing, -1 << start) > left:
+        return False
+    stop = min(rows[(missing & -missing).bit_length() - 1].bit_length(),
+               n + 1 - left)
+    for i in range(start, stop):
+        now = cover | rows[i]
+        if left > 2:
+            if _extend_covers(rows, full, picks + (i,), i + 1, now, left - 1,
+                              found, most):
+                return True
+            continue
+        missing = full ^ now
+        last = min(rows[(missing & -missing).bit_length() - 1].bit_length(), n)
+        for j in range(i + 1, last):
+            if now | rows[j] == full:
+                found.append(picks + (i, j))
+                if len(found) == most:
+                    return True
+    return False
+
+
+def _picks_needed(rows, missing: int, allowed: int) -> int:
+    """A lower bound on the picks from `allowed` that cover `missing`: the
+    size of a set of missing indices, chosen greedily from the lowest, whose
+    rows meet `allowed` in pairwise disjoint masks."""
+    used = 0
+    need = 0
+    while missing:
+        bit = missing & -missing
+        missing ^= bit
+        reach = rows[bit.bit_length() - 1] & allowed
+        if not reach & used:
+            used |= reach
+            need += 1
+    return need
 
 
 def all_minimum_dominating_sets(g: PermutationGraph) -> list[frozenset[int]]:
     """Every dominating set of minimum size, in lexicographic order."""
-    gamma = domination_number_exact(g).gamma
-    rows = g.closed_rows()
-    full = g.full_mask()
-    out = []
-    for combo in combinations(range(g.n), gamma):
-        cover = 0
-        for i in combo:
-            cover |= rows[i]
-        if cover == full:
-            out.append(frozenset(i + 1 for i in combo))
-    return out
+    return [frozenset(i + 1 for i in combo)
+            for combo in _minimum_covers(g.closed_rows(), g.full_mask())]
 
 
 def count_singleton_dominators(g: PermutationGraph) -> int:

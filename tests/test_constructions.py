@@ -15,6 +15,7 @@ from permdom.errors import (
     DisconnectedInput,
     InfeasibleGamma,
     OddOrder,
+    OrderTooLarge,
     OrderTooSmall,
 )
 from permdom.graph import build_graph, is_connected
@@ -113,6 +114,12 @@ def test_connected_with_gamma_examples():
         connected_with_gamma(5, 3)
     with pytest.raises(InfeasibleGamma):
         connected_with_gamma(4, 0)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_connected_with_gamma_rejects_orders_above_the_cap_up_front(k):
+    with pytest.raises(OrderTooLarge, match="n = 200 "):
+        connected_with_gamma(200, k)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

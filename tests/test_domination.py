@@ -1,8 +1,12 @@
-from itertools import combinations, permutations as perms
+from itertools import combinations, permutations as perms, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from permdom.constructions import comb_sigma, comb_tau, is_comb
 from permdom.domination import (
+    _minimum_cover,
     all_minimum_dominating_sets,
     classify_neighbors,
     count_singleton_dominators,
@@ -24,16 +28,40 @@ def graph(text):
     return build_graph(parse_permutation(text))
 
 
-def gamma_by_plain_enumeration(g):
+def minimum_sets_by_plain_enumeration(g):
     """Independent oracle: try every subset by ascending size, testing
-    coverage with vertex sets instead of the domination-matrix rows."""
+    coverage with vertex sets instead of the domination-matrix rows; every
+    dominating set of the first size that has one, in lexicographic order."""
     nbhd = {v: set(g.neighbors(v)) | {v} for v in range(1, g.n + 1)}
     everything = set(range(1, g.n + 1))
     for size in range(1, g.n + 1):
-        for combo in combinations(everything, size):
-            if set().union(*(nbhd[v] for v in combo)) == everything:
-                return size
+        found = [set(combo) for combo in combinations(range(1, g.n + 1), size)
+                 if set().union(*(nbhd[v] for v in combo)) == everything]
+        if found:
+            return found
     raise AssertionError
+
+
+def gamma_by_plain_enumeration(g):
+    return len(minimum_sets_by_plain_enumeration(g)[0])
+
+
+def first_cover_by_plain_enumeration(rows, full):
+    """The row-or search over every combination, unpruned."""
+    for size in range(1, len(rows) + 1):
+        for combo in combinations(range(len(rows)), size):
+            cover = 0
+            for i in combo:
+                cover |= rows[i]
+            if cover == full:
+                return combo
+    raise AssertionError
+
+
+def assert_matches_plain_enumeration(g):
+    expected = minimum_sets_by_plain_enumeration(g)
+    assert sorted(domination_number_exact(g).witness) == sorted(expected[0])
+    assert all_minimum_dominating_sets(g) == expected
 
 
 def test_is_dominating_examples():
@@ -68,6 +96,39 @@ def test_gamma_of_connected_graphs_at_most_half_n(n):
         g = build_graph(Permutation(image))
         if is_connected(g) and n >= 2:
             assert domination_number_exact(g).gamma <= n // 2
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_witness_and_minimum_sets_match_plain_enumeration(n):
+    for image in perms(range(1, n + 1)):
+        assert_matches_plain_enumeration(build_graph(Permutation(image)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(9, 16).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))))
+def test_witness_and_minimum_sets_match_plain_enumeration_beyond_7(image):
+    assert_matches_plain_enumeration(build_graph(Permutation(tuple(image))))
+
+
+def test_minimum_cover_matches_plain_enumeration_on_the_s8_sweep():
+    from permdom.oracle import sweep
+
+    full = (1 << 8) - 1
+    for _, rows, *_ in sweep(8):
+        assert _minimum_cover(rows, full) == first_cover_by_plain_enumeration(
+            rows, full)
+
+
+@pytest.mark.parametrize("build", [comb_sigma, comb_tau])
+@pytest.mark.parametrize("n", range(6, 25, 2))
+def test_comb_minimum_sets_pick_one_end_of_every_tooth(build, n):
+    g = build_graph(build(n))
+    sets = all_minimum_dominating_sets(g)
+    assert domination_number_exact(g).gamma == n // 2
+    assert len(sets) == 2 ** (n // 2)
+    pairs = is_comb(g).matching.items()
+    assert set(sets) == {frozenset(pick) for pick in product(*pairs)}
 
 
 def test_all_minimum_dominating_sets():
