@@ -42,8 +42,9 @@ def _cap_from_env() -> int:
     return min(cap, oracle.HARD_CAP)
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than `low` (else exit 2)."""
+def _bounded_int(low: int, high: int | None = None):
+    """argparse type: an int no smaller than `low` and, when `high` is
+    given, no larger than `high` (else exit 2)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -51,6 +52,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
 
@@ -119,11 +122,16 @@ def _load_c_table(path: str) -> counting.CountTable:
     return table
 
 
+def _emit_g1(args) -> None:
+    """`count g1` and `seq g1`: one column of the counting kernel."""
+    rows = list(enumerate(map(str, counting.g1_column(args.max_n))))
+    _emit_rows(rows, args.format, args.out, "g1")
+
+
 def cmd_count(args) -> int:
     fmt = args.format
     if args.what == "g1":
-        rows = [(n, str(counting.g1(n))) for n in range(args.max_n + 1)]
-        _emit_rows(rows, fmt, args.out, "g1")
+        _emit_g1(args)
     elif args.what == "f1":
         rows = [(t, str(counting.f1(args.n, t))) for t in range(args.n + 1)]
         _emit_rows(rows, fmt, args.out, "f1")
@@ -249,8 +257,7 @@ def cmd_seq(args) -> int:
         ]
         _emit_rows(rows, args.format, args.out, "st")
     elif args.what == "g1":
-        rows = [(n, str(counting.g1(n))) for n in range(args.max_n + 1)]
-        _emit_rows(rows, args.format, args.out, "g1")
+        _emit_g1(args)
     else:  # lift
         families = sequences.lift_families(args.r)
         fam = families[args.r]
@@ -281,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Domination properties of permutation graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    order = _bounded_int(0, counting.MAX_ORDER)
 
     def add_out(p):
         p.add_argument("--out", help="write the report to a file")
@@ -296,18 +304,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="evaluate a counting formula")
     what = p.add_subparsers(dest="what", required=True)
     q = what.add_parser("g1")
-    q.add_argument("--max-n", type=_int_at_least(0), required=True)
+    q.add_argument("--max-n", type=order, required=True)
     q = what.add_parser("f1")
-    q.add_argument("--n", type=_int_at_least(0), required=True)
+    q.add_argument("--n", type=order, required=True)
     q = what.add_parser("pair")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=order, required=True)
     q.add_argument("--u", type=int, required=True)
     q.add_argument("--v", type=int, required=True)
     group = q.add_mutually_exclusive_group()
     group.add_argument("--adjacent", action="store_true")
     group.add_argument("--nonadjacent", action="store_true")
     q = what.add_parser("efficient")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=order, required=True)
     q.add_argument("--set", required=True, help="vertex list, e.g. 1,4")
     q = what.add_parser("d")
     q.add_argument("--n", type=int, required=True)
@@ -336,34 +344,35 @@ def build_parser() -> argparse.ArgumentParser:
     what = p.add_subparsers(dest="what", required=True)
     q = what.add_parser("tally")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--jobs", type=_int_at_least(1), default=1)
+    q.add_argument("--jobs", type=_bounded_int(1), default=1)
     q.add_argument("--allow-big", action="store_true",
                    help="raise the enumeration cap to n = 11 (slow)")
     add_out(q)
     q = what.add_parser("verify")
-    q.add_argument("--max-n", type=_int_at_least(1), default=6)
-    q.add_argument("--jobs", type=_int_at_least(1), default=1)
+    q.add_argument("--max-n", type=_bounded_int(1), default=6)
+    q.add_argument("--jobs", type=_bounded_int(1), default=1)
     add_out(q)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("seq", help="strong-fixed-point sequences")
     what = p.add_subparsers(dest="what", required=True)
     q = what.add_parser("st")
-    q.add_argument("--max-n", type=_int_at_least(0), required=True)
+    q.add_argument("--max-n", type=_bounded_int(0), required=True)
     add_format(q)
     add_out(q)
     q = what.add_parser("g1")
-    q.add_argument("--max-n", type=_int_at_least(0), required=True)
+    q.add_argument("--max-n", type=order, required=True)
     add_format(q)
     add_out(q)
     q = what.add_parser("lift")
-    q.add_argument("--r", type=_int_at_least(2), required=True)
+    q.add_argument("--r", type=_bounded_int(2, sequences.MAX_LIFT_OFFSET),
+                   required=True)
     add_out(q)
     p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser("verify", help="run every formula-vs-oracle check")
-    p.add_argument("--max-n", type=_int_at_least(1), default=6)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--max-n", type=_bounded_int(1), default=6)
+    p.add_argument("--jobs", type=_bounded_int(1), default=1)
     add_out(p)
     p.set_defaults(func=cmd_verify)
 

@@ -74,15 +74,17 @@ def _result(name, range_note, mismatches, detail=None) -> CheckResult:
 def check_recursions_vs_oracle(cache: TallyCache, max_n: int) -> CheckResult:
     """g1(n) and f1(n, t) against the exhaustive tallies."""
     bad = []
+    f1_rows = counting.f1_triangle(max_n)
+    g1 = counting.g1_column(max_n)
     for n in range(1, max_n + 1):
         report = cache.tally(n)
         got = sum(v for k, v in report.g.items() if k == 1)
-        if counting.g1(n) != got:
-            bad.append(f"g1({n}): formula {counting.g1(n)} oracle {got}")
+        if g1[n] != got:
+            bad.append(f"g1({n}): formula {g1[n]} oracle {got}")
         for t in range(n + 1):
-            if counting.f1(n, t) != report.f1.get(t, 0):
+            if f1_rows[n][t] != report.f1.get(t, 0):
                 bad.append(
-                    f"f1({n},{t}): formula {counting.f1(n, t)}"
+                    f"f1({n},{t}): formula {f1_rows[n][t]}"
                     f" oracle {report.f1.get(t, 0)}"
                 )
     return _result("recursions_vs_oracle", f"n <= {max_n}", bad)
@@ -103,9 +105,10 @@ def check_strong_fixed_point_identity(cache: TallyCache, max_n: int) -> CheckRes
 def check_closed_forms(max_k: int = 40) -> CheckResult:
     """Offset closed forms against the f1 recursion."""
     bad = []
+    f1_rows = counting.f1_triangle(max_k + 5)
     for r in (2, 3, 4, 5):
         for k in range(max_k + 1):
-            if sequences.st_closed_form(r, k) != counting.f1(k + r, k):
+            if sequences.st_closed_form(r, k) != f1_rows[k + r][k]:
                 bad.append(f"St(k+{r},k) at k={k}")
     return _result("closed_forms_vs_recursion", f"r in 2..5, k <= {max_k}", bad)
 
@@ -117,6 +120,7 @@ def check_polynomial_lifting(max_k: int = 40) -> CheckResult:
 
     bad = []
     families = sequences.lift_families(7)
+    f1_rows = counting.f1_triangle(max_k + 7)
     expected = {
         3: (3, 3),
         4: (14, Fraction(29, 2), Fraction(1, 2)),
@@ -131,7 +135,7 @@ def check_polynomial_lifting(max_k: int = 40) -> CheckResult:
         if fam.polynomial(0) != fam.k0_value:
             bad.append(f"offset {r} anchor")
         for k in range(1, max_k + 1):
-            if fam.polynomial(k) != counting.f1(k + r, k):
+            if fam.polynomial(k) != f1_rows[k + r][k]:
                 bad.append(f"offset {r} at k={k}")
                 break
     return _result("polynomial_lifting", f"r <= 7, k <= {max_k}", bad)

@@ -204,6 +204,41 @@ def test_out_of_range_sizes_and_jobs_are_usage_errors(capsys, argv):
     assert "must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "g1", "--max-n", "3000"),
+    ("count", "f1", "--n", "1001"),
+    ("count", "pair", "--n", "1001", "--u", "1", "--v", "2"),
+    ("count", "efficient", "--n", "1001", "--set", "1"),
+    ("seq", "g1", "--max-n", "1001"),
+    ("seq", "lift", "--r", "81"),
+])
+def test_sizes_above_the_caps_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at most" in err and "Traceback" not in err
+
+
+def test_the_caps_themselves_are_accepted_and_printable():
+    import sys
+    from math import factorial
+
+    from permdom import counting, sequences
+    from permdom.cli import build_parser
+
+    cap = str(counting.MAX_ORDER)
+    for argv in (["count", "g1", "--max-n", cap], ["count", "f1", "--n", cap],
+                 ["count", "pair", "--n", cap, "--u", "1", "--v", "2"],
+                 ["count", "efficient", "--n", cap, "--set", "1"],
+                 ["seq", "g1", "--max-n", cap],
+                 ["seq", "lift", "--r", str(sequences.MAX_LIFT_OFFSET)]):
+        build_parser().parse_args(argv)
+    # Every count up to the cap is at most n!, so it prints without raising
+    # the int-to-str digit limit.
+    assert len(str(factorial(counting.MAX_ORDER))) < sys.get_int_max_str_digits()
+
+
 def test_tally_output_is_identical_across_jobs(capsys):
     outputs = {run(capsys, "oracle", "tally", "--n", "5", "--jobs", j)[1]
                for j in ("1", "2")}
@@ -286,6 +321,113 @@ bfd165603c3a2303f0d79438b61e0d5203de425324423a7e15b3e99bfb531914
 @pytest.mark.parametrize(
     "argv,digest", list(zip(_golden_corpus(), GOLDEN_DIGESTS, strict=True)))
 def test_golden_stdout_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _count_corpus():
+    pair_sizes = (("2", "1", "2"), ("9", "1", "2"), ("9", "4", "5"),
+                  ("9", "1", "9"), ("9", "3", "9"), ("12", "5", "8"),
+                  ("80", "1", "80"), ("80", "20", "60"), ("80", "21", "61"))
+    efficient = (("1", "1"), ("9", "4"), ("9", "3,4,5"), ("10", "1,2,7,8"),
+                 ("7", "1,2,3,4,5,6,7"), ("12", "1,5,12"),
+                 ("58", "3,11,18,24,34,43"), ("58", "16,25,35,41,48,56"),
+                 ("61", "6,27,43"), ("61", "19,35,56"),
+                 ("62", "11,22,35,50"), ("62", "13,28,41,52"))
+    return (
+        [("count", "f1", "--n", n) for n in ("0", "1", "2", "9", "150", "200")]
+        + [("count", "f1", "--n", "9", "--format", "csv")]
+        + [("count", "g1", "--max-n", m) for m in ("0", "1", "260")]
+        + [("count", "g1", "--max-n", "9", "--format", "csv")]
+        + [("seq", "g1", "--max-n", m) for m in ("0", "260")]
+        + [("count", "pair", "--n", n, "--u", u, "--v", v, *flag)
+           for n, u, v in pair_sizes
+           for flag in ((), ("--adjacent",), ("--nonadjacent",))]
+        + [("count", "efficient", "--n", n, "--set", a) for n, a in efficient]
+        + [("seq", "st", "--max-n", m, "--format", fmt)
+           for m in ("0", "30") for fmt in ("json", "csv")]
+        + [("seq", "lift", "--r", str(r)) for r in range(2, 13)]
+    )
+
+
+# SHA-256 of stdout for each argv of _count_corpus, in order, recorded with
+# the recursive f1/g1 tables and the literal pair and efficient sums that
+# preceded the power-series kernel.
+COUNT_GOLDEN_DIGESTS = """
+632c68d6b54613b4e5112dafc37f4130e18bf77100fd1ae7fe9b290855f5e83d
+0feb32bb4fe4b9667c9631ded49f410638cf669b41d47cb23192de9cf0398cf4
+e8e9f278b2c801a32aaabf86553b288d4aca60d20b8a76b595f87c219f62fd3a
+5d5d663c69b00eb665f486f3897de25484b9dcc83c662afba5d972a0c28ccc97
+058bd847a201fc271ac3961ece4d7f9c70911aa737e3ea5cf2d4f2135e85725e
+58b460365c5e1f57d222be0ea64572c3f5a2ec41cf5c7ee27a234b7a6bce33d3
+6b31ed0f518bafe5909350567695e76ecc85c7ad4aec521f7db9bf45b8d3200d
+a3c1f07490a0a4075597b572575e072ad9d369ac256bcd1ef279913b23899c08
+099b2d356d46405ffe575200226c7631facc9e919d4b35a2ff57239ad7dcb943
+c791937ab388cc85965b88b7a350a79eabaa23303166d465d803ae273005844f
+fa90d75de06f44ddd2c95b29dadd90723399a12ddca041eda0330d23a55c8374
+a3c1f07490a0a4075597b572575e072ad9d369ac256bcd1ef279913b23899c08
+c791937ab388cc85965b88b7a350a79eabaa23303166d465d803ae273005844f
+10873ba34f3c62e7ba65442063f66de792ee712118b9e9900012372bbe69af5e
+b86e0b46bf7f6c6d07414ec532ad740fdb67f982eb0442e06094a369a9ae37e8
+3721c21e87f9e44e0a7c2f4a9da26741d9e64109edd703ead119a9650d3719d0
+6462e5653e9185dc981b64b981c43b8f0d4601e6fa216992908fef8d4d3cf1a4
+1a2955f8215828faf89b81950e6238909d4703a5231572a17301201799ec58d1
+68c35eadf5426cbf63068f0c376e72f2c862376f7a6644109dc30f7b04784295
+061bca859f1d80c36099345b02bd4c470d1615412f343b3c3b9f5ea7d19fbba0
+c50a167825920d0ae9d9383d99d9b9b4b48a58a37974f86215963e0444e9561d
+166044630995af3e9e7599cfd204d821fd2df3b2a9c16966ae01837ddf26ba18
+8eec0b44be795d373e7a9a423cb56b8b41efb857c9669d6a2ab0eb1c726c2785
+00cb51335b65a340b053ac5889217e3a34666e2e2dedf389ec140295fd8b1b05
+68c35eadf5426cbf63068f0c376e72f2c862376f7a6644109dc30f7b04784295
+7c30f6bf03c4b1c5271f45bfdecb94f85362dbe3b95368c77c5ecf329e6f3dd3
+d016ae0df9fde99db6074542e91724a6168a1c556db1fac0f4488de677df6891
+9aa906854249fc5fa2334c70faba0575d271c0ed0ad5dda77ef44b4304b68561
+6ff2592a25e0a1caa11f40bffa36551a2f86d3716489469d597887e14dae2715
+00f92c75564074eb93558be0ad7194f372832d9b18a1efc7a25af26edef0580a
+c8c5d50197eee1c7e456003f177dc9b5ea7e2e202a66ae30584a6ed79f187639
+725ec98f72073ad42a73db56e22b3572d52ed19cb3761a730c42cf3c291df9ab
+81568bbdca327a3141ba375e541acbcf22a40840c9f7c9bd6c3121b5554a0545
+1416265a2e0acd073b5fff0dac3084916ab07ae825818e56734cb8bb8dd87e14
+56a8e703736212541fef2343bbb125b10a1838d3dad3c10130aa996263e19d63
+975e591d7de1220f77bc3b058fd711010b09e2c587364e455e6db41933719fb9
+99b08a3f6851cb1a4d1dd35bf83bcef02239c9b56b0bd86ba5a8112c03a3fd67
+56a8e703736212541fef2343bbb125b10a1838d3dad3c10130aa996263e19d63
+975e591d7de1220f77bc3b058fd711010b09e2c587364e455e6db41933719fb9
+99b08a3f6851cb1a4d1dd35bf83bcef02239c9b56b0bd86ba5a8112c03a3fd67
+9b5f24cd21258cb3c3fd930e63bbdc270b2313ccaea044304b1bbd2e8b557885
+bab49c65e2e00c12d5097e9480000ac71e5c2382ecae820aab5be0d43fe39478
+f16607ce5e508a048522ede822714b9c357a5cf387e772b1f6d8dfb38397fb12
+c641da3fcf6b775ad37e2c0b50b704f68ec9d6e5deb93dd8757abe3a6c400b84
+34c9a64e49fb4744183cedbab96fdeb6a872d82be7caf1cce4c15e012cdf0c28
+a44726dc90592b55deafa0f0abd5677cba8523498bd4d3fa081b3512e2ad719e
+edf9c777693a400a8dad8bb61bfe57bbaf186a798907fb276c9698f0be77bbec
+20782469ba535c59822718e1403ce14c5239fbba6dfd9ff751c5f1e18141ff98
+af2ea11d6f8e7f1b76eb161ac5398a3c33706b795606cc5ec8e7e1a5af81f344
+9ada19b4380293c14123589b0955c0c74d4d98e3a7744edaf286a4031c5aeff3
+fb20ff3b953c78832512af047e11b869c6d024dc2e8f45c33eb1cc8cb8b3e866
+c39c805dd95229450cb9cc8760b735d1d1ebcf2fd0ef673432cef4f371244a76
+48952293b7e9acca52745890260ca23e5dc9bf06fd40e52e3e7450b28c4fe3a1
+8989734bcae00644cdd1bfcf4e427a43f5e8de532824a3543baf0e9f8e942db0
+25f16eaf9b71492a6c277288210e16bd77c8d85e130a3d20329353862418f201
+2db34829c05d80b9d30410eaf2cc45b9b3a548bcafe143fd6ba3d297c6a965d5
+ca7f8f058a0e25d734d7df868ebc522a55b1caca9f8b8e2bcac34198942e0b1e
+267a61b0b5f8e6e4dc4d1053cdc6ded802f0a6dbc869fd912cb7a411e91ba301
+e441cbe427d313b9bd2ff7123a643e869ecec6a5eb12a93ef39ecf7664bc188a
+b9e9c21ddf9fa40740201c80823caf1ba6060a71bf1c92713a4349f122e4ae71
+b6345b80bb55f38e896c56f0772adc1bd61559f96c6cec79bd67ca2d94a88d37
+268964226fc85ead24c69f935996c5846a573bcc86ed0c0c319da334cbd8dea9
+2c52e813f33787c1934347da8b6783ed5135a2af33fb0e9af14c22b896001f8d
+5799126b8115975e84cc858e4d8ab443371deef2e395765fbf926bb1fd450f5a
+882437b99a93dfa6dd3c16d0c0359a7481120b550278e50f8b9fe8cd33ee2478
+92237cbe8e024e9015368f0caf85490a8409cdbb30ecdd26f84f7c3ee43287d1
+0dd5af186d9707f4bb238c07d9b576a6cadb13d5bb8ccb07092a6067951471fe
+""".split()
+
+
+@pytest.mark.parametrize(
+    "argv,digest", list(zip(_count_corpus(), COUNT_GOLDEN_DIGESTS, strict=True)))
+def test_count_golden_stdout_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

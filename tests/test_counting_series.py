@@ -1,0 +1,150 @@
+"""The power-series counting kernel against the formulas as printed.
+
+The reference functions below are the literal evaluations that `counting`
+used before it was rebuilt on the series: the memoised f1/g1 recursion, the
+O(n^4) pair sums and the composition sum over every split of every gap.
+They stay here as the oracle for the fast forms.
+"""
+from functools import lru_cache
+from itertools import combinations
+from math import comb, factorial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from permdom.counting import (
+    efficient_dom_count,
+    f0_column,
+    f1,
+    f1_triangle,
+    g1,
+    g1_column,
+    pair_count_adjacent,
+    pair_count_nonadjacent,
+)
+
+
+@lru_cache(maxsize=None)
+def ref_g1(n):
+    if n == 0:
+        return 0
+    return sum(factorial(n - k) * ref_f1(k - 1, 0) for k in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def ref_f1(n, t):
+    if t < 0 or t > n:
+        return 0
+    if t == 0:
+        return factorial(n) - ref_g1(n)
+    return sum(ref_f1(n - k, t - 1) * ref_f1(k - 1, 0) for k in range(1, n - t + 2))
+
+
+def ref_pair_nonadjacent(n, u, v):
+    total = 0
+    for x1 in range(u):
+        x2 = u - 1 - x1
+        for y1 in range(v - u):
+            y2 = v - u - 1 - y1
+            for z1 in range(n - v + 1):
+                z2 = n - v - z1
+                total += (
+                    factorial(y1 + z2) * factorial(x1 + z1) * factorial(x2 + y2)
+                    * comb(u - 1, x1) * comb(v - u - 1, y1) * comb(n - v, z1)
+                )
+    return total
+
+
+def ref_pair_adjacent(n, u, v):
+    total = 0
+    for x1 in range(v - u):
+        for x2 in range(v - u - x1):
+            x3 = v - u - 1 - x1 - x2
+            for y1 in range(u):
+                y2 = u - 1 - y1
+                for z1 in range(n - v + 1):
+                    z2 = n - v - z1
+                    total += (
+                        factorial(x1 + z2) * factorial(z1 + x3 + y1)
+                        * factorial(y2 + x2)
+                        * comb(v - u - 1, x1) * comb(v - u - 1 - x1, x2)
+                        * comb(u - 1, y1) * comb(n - v, z1)
+                    )
+    return total
+
+
+def _gap_splits(gaps):
+    if not gaps:
+        yield []
+        return
+    head, rest = gaps[0], gaps[1:]
+    for tail in _gap_splits(rest):
+        for x1 in range(head + 1):
+            yield [(x1, head - x1)] + tail
+
+
+def ref_efficient(n, a):
+    """|a| >= 2: the sum over every split of every gap."""
+    k = len(a)
+    gaps = [a[i + 1] - a[i] - 1 for i in range(k - 1)]
+    total = 0
+    for split in _gap_splits(gaps):
+        left = [a[0] - 1] + [x2 for _, x2 in split]
+        right = [x1 for x1, _ in split] + [n - a[-1]]
+        term = factorial(right[0]) * factorial(left[-1])
+        for i in range(k - 1):
+            term *= factorial(left[i] + right[i + 1])
+        for j in range(k - 1):
+            term *= comb(gaps[j], split[j][0])
+        total += term
+    return total
+
+
+def test_f1_and_g1_match_the_recursion_up_to_60():
+    rows = f1_triangle(60)
+    assert g1_column(60) == [ref_g1(n) for n in range(61)]
+    assert f0_column(60) == [ref_f1(n, 0) for n in range(61)]
+    for n in range(61):
+        assert rows[n] == [ref_f1(n, t) for t in range(n + 1)]
+        assert g1(n) == ref_g1(n)
+        assert [f1(n, t) for t in range(-1, n + 2)] == [0] + rows[n] + [0]
+
+
+def test_f1_rows_sum_to_n_factorial_up_to_400():
+    rows = f1_triangle(400)
+    g1s = g1_column(400)
+    for n, row in enumerate(rows):
+        assert sum(row) == factorial(n)
+        assert g1s[n] == sum(row[1:])
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_pair_counts_match_the_printed_sums(n):
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            assert pair_count_nonadjacent(n, u, v) == ref_pair_nonadjacent(n, u, v)
+            assert pair_count_adjacent(n, u, v) == ref_pair_adjacent(n, u, v)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_efficient_counts_match_the_split_sum(n):
+    for size in range(2, min(5, n) + 1):
+        for a in combinations(range(1, n + 1), size):
+            assert efficient_dom_count(n, a) == ref_efficient(n, a)
+
+
+@st.composite
+def member_sets(draw):
+    n = draw(st.integers(2, 40))
+    size = draw(st.integers(2, min(n, 8)))
+    members = draw(st.lists(st.integers(1, n), min_size=size, max_size=size,
+                            unique=True))
+    return n, sorted(members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(member_sets())
+def test_efficient_counts_match_the_split_sum_hypothesis(case):
+    n, a = case
+    assert efficient_dom_count(n, a) == ref_efficient(n, a)
