@@ -50,10 +50,9 @@ what is left is one hockey stick and one upper Vandermonde:
 
 Efficient domination.  For members a_1 < ... < a_k the printed sum runs over
 splits of every gap g_j = a_{j+1} - a_j - 1 into x_{j,1} + x_{j,2}, weighted
-C(g_j, x_{j,1}) times the factorials (x_{j,2} + x_{j+2,1})! for j = -1..k-1,
-where the
-fixed ends a_1 - 1 = x_{0,2}, 0 = x_{-1,2}, n - a_k = x_{k,1} and
-0 = x_{k+1,1} fill in.  Each factorial joins split j to split j+2 only, so
+C(g_j, x_{j,1}) times the factorials (x_{j,2} + x_{j+2,1})! for
+j = -1..k-1, where the fixed ends 0 = x_{-1,2}, a_1 - 1 = x_{0,2},
+n - a_k = x_{k,1} and 0 = x_{k+1,1} fill in.  Each factorial joins split j to split j+2 only, so
 the splits of odd j and of even j form two independent chains, and each is
 summed by a transfer over the x_2 of its last split: O(sum_j g_j g_{j+2})
 products instead of prod_j (g_j + 1) terms.
@@ -119,7 +118,7 @@ def _powers(order: int):
     x^(order - m + 1): exactly the coefficients f1(n, m - 1) for n <= order.
     """
     cur = _f0(_factorials(order))
-    prev = [1] + [0] * (order + 1)  # c_0 = 1
+    prev = [1] + [0] * order  # c_0 = 1
     yield cur
     for m in range(1, order + 1):
         nxt = [0] * (order - m + 1)
@@ -241,6 +240,8 @@ def efficient_dom_count(n: int, a) -> int:
     fact = _factorials(n)
     gaps = [a[i + 1] - a[i] - 1 for i in range(k - 1)]
     total = 1
+    # gaps[0::2] are the odd j of the module docstring, entered from
+    # x_{-1,2} = 0; gaps[1::2] the even j, entered from x_{0,2} = a_1 - 1.
     for first, x2_in in ((0, 0), (1, a[0] - 1)):
         # weight[x2]: the chain summed so far, by the x2 of its last split.
         weight = {x2_in: 1}
@@ -249,7 +250,7 @@ def efficient_dom_count(n: int, a) -> int:
                 g - x1: comb(g, x1) * sum(w * fact[x2 + x1] for x2, w in weight.items())
                 for x1 in range(g + 1)
             }
-        x1_out = n - a[-1] if (k - 1 - first) % 2 == 0 else 0
+        x1_out = n - a[-1] if (k - 1 - first) % 2 == 0 else 0  # x_{k,1} or x_{k+1,1}
         total *= sum(w * fact[x2 + x1_out] for x2, w in weight.items())
     return total
 
