@@ -431,3 +431,103 @@ def test_count_golden_stdout_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _d_verify_corpus():
+    return (
+        [("count", "d", "--n", str(n), "--k", str(k))
+         for n in range(2, 9) for k in range(1, n + 1)]
+        + [("count", "d", "--n", "8", "--k", str(k), "--c-table", "oracle")
+           for k in range(1, 9)]
+        + [("count", "d", "--n", "20", "--k", k, "--c-table", "ones")
+           for k in ("2", "6", "10")]
+        + [("verify", "--max-n", m, "--jobs", "1") for m in ("1", "3", "7")]
+    )
+
+
+@pytest.fixture(scope="module")
+def c_table_files(tmp_path_factory):
+    """`--c-table` files: the oracle's connected counts for n <= 7, and a
+    synthetic table with c(m, j) = 1 for 1 <= j <= m < 20."""
+    from permdom import oracle
+
+    rows = {}
+    for (n, k), value in oracle.c_table(7).entries.items():
+        rows.setdefault(str(n), {})[str(k)] = value
+    tables = {
+        "oracle": rows,
+        "ones": {str(m): {str(j): 1 for j in range(1, m + 1)}
+                 for m in range(1, 20)},
+    }
+    paths = {}
+    for name, table in tables.items():
+        paths[name] = tmp_path_factory.mktemp("c") / f"{name}.json"
+        paths[name].write_text(json.dumps({"c": table}))
+    return {name: str(path) for name, path in paths.items()}
+
+
+# SHA-256 of stdout for each argv of _d_verify_corpus, in order, recorded
+# with the composition-sum `disconnected_count` and the `verify` that
+# clamped --max-n to 8.
+D_VERIFY_GOLDEN_DIGESTS = """
+a7b7718392f765753ddb0d30304bf5ee659b3523c80c0fb13d84a07c99c08155
+486f01aa951722ea813006c085414788f0d8dcfd6bf5b4277e92bf30d2d40d15
+6557dfba5eb72477b3effd7e72caa63ffd8f2946f1c8b3a458d720e30df5e63d
+4540546bd4f0c8c63da86db44ba20a61e4210470844038c2d563d893af7e6cbe
+7f4776b5738d9282d9d84aab7ce2632eb097de96412c3051aed3bc9e7f832b28
+090653172cbd40998591e8f75a08807258be2d2d5af301beb128120b0f66cdc0
+2100bdf0635f8038ebbe3013c408f5cf6a5bee79093a6ffd085f5a8ab6d504d7
+5673e6fa4e407246de9e812166fa08c9931889e139eb3d09a02e48e28b1408b8
+af63eeba54cec7ee028eefe60ba619dc1324e4fa03fdcbeaad82e4fd644155e0
+60b27b0beee1202ad09433a87d4c2fee49a0777002ee99caaf22694e3c1c8e2a
+b002cc61b120d897cdbe29fbb5625382983127127edd54de73c392d87d38411e
+1f42ca93a8fd04bcb3b387b5cd5d52c9fcae55e446d61079782205559b11f0bb
+f9486a2ba09d342162bf7de52195af5bb363e8815009c9f21c006b93c189fa88
+e8dd51e5ccaac7686a9cbab184476867f714ce5df40cb29463f1b74b2df97fde
+49b984cf6b1ed50c45ad1f22d67868d53765c54628d5d410dd2d9ace60e94263
+ea13b99673e16f7a9589c65880a49d2db2b2fbcde2d5f625f6859f1518d025d5
+97923ae7ef7d52eb414343e81ccc0a6a2fa4735656c65bbb12d667d2e5b4bccd
+db96db9e7bae1adce4653a6921c46ac6a55f09d601ce917b02ec3d46e79c927d
+20d603bd4cda54432c093748511890ee6a1baa07b739968c778cd8cc068abd96
+85441d0dfbff5ae409465739dffe260bb176f7d210f56a6997396aff6995e35f
+417da4576eb12a0cee9fb3b362df8a42c85b3e683723a2f29865ede6e8363b65
+c12d6306569028fc3aaff070f53745104935e3b36086826add14cc03ff682802
+9fea6c3165f6dfbd64f23663a9eaded25df9b0a0a5b98ed586d9af105da8b1e9
+f27681e2ec1e2cc8f5f2f0a61515af95159f6a3931ea3c7b959720f790c46d68
+fbc076a2c18afa1c8593b9f25cb60fc77d686ab0cbd5a4280b428d7beb59529d
+ac50cd3d07dc566e0f41170922203e19dafa0c2b6e48e5d82cf701654ddaff84
+2ea1bdf8cd98c2ff2ba595b283c5c6af6cf04c54a58ff4fec7fa07a387f58d09
+0b5ca9ecdfcb441a4e530ac71af6dd912a638fdf687b2abd98c4a9d9bf0b3588
+fb6db7896990257c213fe1437b5d093370957c4fc7ce8713f1e8445c47434f18
+02046683a687dd2dbb228a2a1d6231091d732266c978459872f717d0f10087ac
+4c4c4339a778a7e8e2f94778865daebf8d655e228b1ae5fac6aa637fb88822d5
+54fdfb2ac31720d212029aac5ff8b53d9bc97b8f9ba77897c81e6c9bd4ad14d6
+85949ab0c96d644a1b6f14aaaac3c0aa9776b594a7d200550444a9d5ee35a40c
+88a56c55603222383a6c559a9fd53948d41b8bf28b33f7bb61f45d94961d84f4
+5ec8efc1a66a7d33c9b887592200c36438f896913e748beacbc3b3e6a832dced
+0b5ca9ecdfcb441a4e530ac71af6dd912a638fdf687b2abd98c4a9d9bf0b3588
+fb6db7896990257c213fe1437b5d093370957c4fc7ce8713f1e8445c47434f18
+02046683a687dd2dbb228a2a1d6231091d732266c978459872f717d0f10087ac
+4c4c4339a778a7e8e2f94778865daebf8d655e228b1ae5fac6aa637fb88822d5
+54fdfb2ac31720d212029aac5ff8b53d9bc97b8f9ba77897c81e6c9bd4ad14d6
+85949ab0c96d644a1b6f14aaaac3c0aa9776b594a7d200550444a9d5ee35a40c
+88a56c55603222383a6c559a9fd53948d41b8bf28b33f7bb61f45d94961d84f4
+5ec8efc1a66a7d33c9b887592200c36438f896913e748beacbc3b3e6a832dced
+572b91c5d6008416a7b41e47ee3381e4575d64ec4d2b074425ec6516b8b73dd6
+85dfa79d80e93392535b3877a1bf32f1b51764e6d1ce5410d0881ed63180edb4
+75c6fffb74b49c02c556e79924d79de1f39cb6fc195d61eada7699d213ed3d10
+f51bc39dab65aa74228eb69ff0c55555fee3e7d674cc8cce55afbc30fb6b404c
+fe744d9fc03bac8d2a96c17ae9e19b9e7c723dc83774a4b865257805f854ad27
+7f8ae7da67ffda4b6dc4163856c179f62c26141274c6d2033bc45fff603fabeb
+""".split()
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    list(zip(_d_verify_corpus(), D_VERIFY_GOLDEN_DIGESTS, strict=True)))
+def test_d_and_verify_golden_stdout_digest(capsys, c_table_files, argv, digest):
+    argv = [c_table_files.get(arg, arg) if prev == "--c-table" else arg
+            for prev, arg in zip(("",) + argv, argv)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
