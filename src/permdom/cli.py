@@ -113,25 +113,21 @@ def cmd_analyze(args) -> int:
 
 
 def _load_c_table(path: str) -> counting.CountTable:
-    with open(path) as fh:
-        data = json.load(fh)
-    table = counting.CountTable(kind="c")
-    for n, row in data["c"].items():
-        for k, value in row.items():
-            table.entries[(int(n), int(k))] = int(value)
-    return table
-
-
-def _emit_g1(args) -> None:
-    """`count g1` and `seq g1`: one column of the counting kernel."""
-    rows = list(enumerate(map(str, counting.g1_column(args.max_n))))
-    _emit_rows(rows, args.format, args.out, "g1")
+    try:
+        with open(path) as fh:
+            rows = json.load(fh)["c"]
+        entries = {(int(n), int(k)): int(value)
+                   for n, row in rows.items() for k, value in row.items()}
+    except (OSError, ValueError, LookupError, AttributeError, TypeError) as exc:
+        raise ParseError(f"bad c-table file {path!r}: {exc!r}") from exc
+    return counting.CountTable(kind="c", entries=entries)
 
 
 def cmd_count(args) -> int:
     fmt = args.format
     if args.what == "g1":
-        _emit_g1(args)
+        rows = list(enumerate(map(str, counting.g1_column(args.max_n))))
+        _emit_rows(rows, fmt, args.out, "g1")
     elif args.what == "f1":
         rows = [(t, str(counting.f1(args.n, t))) for t in range(args.n + 1)]
         _emit_rows(rows, fmt, args.out, "f1")
@@ -215,8 +211,8 @@ def _tally_payload(report: oracle.TallyReport) -> dict:
     }
 
 
-def _run_verify(max_n: int, jobs: int, out: str | None) -> int:
-    run = verify.run_all(max_n=max_n, jobs=jobs)
+def cmd_verify(args) -> int:
+    run = verify.run_all(max_n=args.max_n, jobs=args.jobs)
     payload = {
         "schema": SCHEMA,
         "checks": [
@@ -230,7 +226,7 @@ def _run_verify(max_n: int, jobs: int, out: str | None) -> int:
             for c in run.checks
         ],
     }
-    _emit(payload, out)
+    _emit(payload, args.out)
     for c in run.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status} {c.name} ({c.range_note})", file=sys.stderr)
@@ -238,13 +234,11 @@ def _run_verify(max_n: int, jobs: int, out: str | None) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.what == "tally":
-        cap = oracle.HARD_CAP if args.allow_big else _cap_from_env()
-        report = oracle.full_tally(args.n, jobs=args.jobs, cap=cap)
-        _emit(_tally_payload(report), args.out)
-        print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
-        return 0
-    return _run_verify(args.max_n, args.jobs, args.out)
+    cap = oracle.HARD_CAP if args.allow_big else _cap_from_env()
+    report = oracle.full_tally(args.n, jobs=args.jobs, cap=cap)
+    _emit(_tally_payload(report), args.out)
+    print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
+    return 0
 
 
 def cmd_seq(args) -> int:
@@ -256,8 +250,6 @@ def cmd_seq(args) -> int:
             for k in range(n + 1)
         ]
         _emit_rows(rows, args.format, args.out, "st")
-    elif args.what == "g1":
-        _emit_g1(args)
     else:  # lift
         families = sequences.lift_families(args.r)
         fam = families[args.r]
@@ -276,10 +268,6 @@ def cmd_seq(args) -> int:
         }
         _emit(payload, args.out)
     return 0
-
-
-def cmd_verify(args) -> int:
-    return _run_verify(args.max_n, args.jobs, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=order, required=True)
     q.add_argument("--set", required=True, help="vertex list, e.g. 1,4")
     q = what.add_parser("d")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    d_order = _bounded_int(1, counting.MAX_D_ORDER)
+    q.add_argument("--n", type=d_order, required=True)
+    q.add_argument("--k", type=d_order, required=True)
     q.add_argument("--c-table", help="JSON file of connected counts")
     for q in what.choices.values():
         add_format(q)
@@ -348,20 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--allow-big", action="store_true",
                    help="raise the enumeration cap to n = 11 (slow)")
     add_out(q)
-    q = what.add_parser("verify")
-    q.add_argument("--max-n", type=_bounded_int(1), default=6)
-    q.add_argument("--jobs", type=_bounded_int(1), default=1)
-    add_out(q)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("seq", help="strong-fixed-point sequences")
     what = p.add_subparsers(dest="what", required=True)
     q = what.add_parser("st")
     q.add_argument("--max-n", type=_bounded_int(0), required=True)
-    add_format(q)
-    add_out(q)
-    q = what.add_parser("g1")
-    q.add_argument("--max-n", type=order, required=True)
     add_format(q)
     add_out(q)
     q = what.add_parser("lift")
@@ -371,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser("verify", help="run every formula-vs-oracle check")
-    p.add_argument("--max-n", type=_bounded_int(1), default=6)
+    p.add_argument("--max-n", type=_bounded_int(1, verify.MAX_N), default=6)
     p.add_argument("--jobs", type=_bounded_int(1), default=1)
     add_out(p)
     p.set_defaults(func=cmd_verify)

@@ -41,6 +41,8 @@ def _check_comb_order(n: int) -> None:
         raise OddOrder(f"comb order must be even, got {n}")
     if n < 6:
         raise OrderTooSmall(f"comb constructions need n >= 6, got {n}")
+    if n > MAX_GRAPH_ORDER:
+        raise OrderTooLarge(f"n = {n} exceeds the {MAX_GRAPH_ORDER}-vertex cap")
 
 
 def comb_sigma(n: int) -> Permutation:

@@ -57,15 +57,22 @@ the splits of odd j and of even j form two independent chains, and each is
 summed by a transfer over the x_2 of its last split: O(sum_j g_j g_{j+2})
 products instead of prod_j (g_j + 1) terms.
 
-The composition sums of `disconnected_count` follow the displayed formula,
-with empty composition ranges contributing the single all-zero tuple.
+Disconnected graphs.  The components of a permutation graph are the blocks
+of the permutation, in order, and gamma adds over them.  With
+C = sum c(n,k) x^n y^k over connected graphs, the sequence construction gives
+sum g(n,k) x^n y^k = 1 / (1 - C), so splitting off the first block,
+
+    d(n, k) = sum_{m=1}^{n-1} sum_{j>=1} c(m, j) g(n-m, k-j),    g = c + d,
+
+built up over the orders below n: O(n^2 k^2) steps at most, fewer where the
+table or g has zeros.  Only entries c(m, j) with 1 <= m < n and j >= 1 enter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 
 from .errors import IndexOutOfRange, MissingTableEntry, NotSorted
 
@@ -73,6 +80,12 @@ from .errors import IndexOutOfRange, MissingTableEntry, NotSorted
 # `count f1 --n 1000`, takes about 5 s on a 2-core Xeon under CPython 3.11;
 # n! passes Python's 4,300-digit int-to-str limit only near n = 1,550.
 MAX_ORDER = 1000
+
+# Largest n and k the CLI accepts for `count d`.  The slowest request it
+# admits, n = k = 95 with a --c-table whose every c(m, j), m < 95 and
+# 1 <= j <= 95, is nonzero and near m! (no real count exceeds it), takes
+# about 5 s on the same machine.
+MAX_D_ORDER = 95
 
 
 @dataclass
@@ -255,80 +268,28 @@ def efficient_dom_count(n: int, a) -> int:
     return total
 
 
-def multinomial(parts) -> int:
-    """Multinomial coefficient (sum(parts) choose parts), as a product of
-    binomials."""
-    total = 0
-    out = 1
-    for p in parts:
-        total += p
-        out *= comb(total, p)
-    return out
-
-
-def compositions(total: int, parts: int, min_part: int = 0):
-    """Ordered tuples of `parts` integers >= min_part summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min_part, total - min_part * (parts - 1) + 1):
-        for rest in compositions(total - first, parts - 1, min_part):
-            yield (first,) + rest
-
-
-def _size_tuples(mults, n):
-    """Strictly increasing size tuples (n_1 < ... < n_l) with
-    sum(mults[i] * n_i) = n."""
-
-    def rec(idx: int, low: int, remaining: int):
-        if idx == len(mults):
-            if remaining == 0:
-                yield ()
-            return
-        r = mults[idx]
-        rest_min = sum(mults[idx + 1:])  # every later size exceeds this one
-        for size in range(low, remaining + 1):
-            need = remaining - r * size
-            if need < rest_min * (size + 1):
-                break
-            for tail in rec(idx + 1, size + 1, need):
-                yield (size,) + tail
-
-    yield from rec(0, 1, n)
-
-
 def disconnected_count(n: int, k: int, c_table: CountTable) -> int:
     """Disconnected permutation graphs on n vertices with domination number
-    k, from the table of connected counts c(m, j) for m < n.
-
-    Sums over the number of components r, the multiset of component sizes
-    (r_i components of size n_i), and the split of the domination number
-    across the size classes.
-    """
+    k, from the table of connected counts c(m, j) for m < n, by the
+    first-block recurrence of the module docstring."""
     for m in range(1, n):
         if not c_table.has_row(m):
             raise MissingTableEntry(f"no c(n, k) entries for n = {m}")
-    total = 0
-    for r in range(2, k + 1):
-        for ell in range(1, r + 1):
-            for mults in compositions(r, ell, min_part=1):
-                for sizes in _size_tuples(mults, n):
-                    for ks in compositions(k, ell):
-                        if any(ki < ri for ki, ri in zip(ks, mults)):
-                            continue
-                        term = multinomial(mults)
-                        for ni, ri, ki in zip(sizes, mults, ks):
-                            inner = 0
-                            for kparts in compositions(ki, ri, min_part=1):
-                                prod = 1
-                                for kt in kparts:
-                                    prod *= c_table.get(ni, kt)
-                                    if prod == 0:
-                                        break
-                                inner += prod
-                            term *= inner
-                            if term == 0:
-                                break
-                        total += term
-    return total
+    if n < 2 or k < 2:
+        return 0  # two or more blocks, each adding at least 1 to gamma
+    blocks: list[list[tuple[int, int]]] = [[]]  # blocks[m]: nonzero (j, c(m, j))
+    g: list[list[int]] = [[]]  # g[m][i], i <= k; trailing zeros cut (gamma <= m)
+    for s in range(1, n + 1):
+        d = [0] * (k + 1)  # d(s, i) for i <= k
+        for m in range(1, s):
+            rest = g[s - m]
+            for j, v in blocks[m]:
+                for i, x in enumerate(rest[1:k + 1 - j], j + 1):
+                    d[i] += v * x
+        c = [0] + [c_table.get(s, j) for j in range(1, k + 1)]
+        blocks.append([(j, v) for j, v in enumerate(c) if v])
+        row = list(map(add, c, d))
+        while row and not row[-1]:
+            row.pop()
+        g.append(row)
+    return d[k]

@@ -29,6 +29,9 @@ from .graph import (
 )
 from .perm import Permutation, reverse, strong_fixed_points
 
+# Largest max_n `run_all` takes: the order of its largest S_n sweep.
+MAX_N = 8
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -315,26 +318,26 @@ def check_invariant_suite(max_n: int) -> CheckResult:
     return _result("invariant_suite", f"n <= {max_n}", bad)
 
 
-def run_all(max_n: int = 8, jobs: int = 1, samples: int = 500) -> VerificationRun:
-    """Every formula-versus-oracle comparison, in a fixed order."""
+def run_all(max_n: int = MAX_N, jobs: int = 1, samples: int = 500) -> VerificationRun:
+    """Every formula-versus-oracle comparison, in a fixed order, over S_n
+    for n <= max_n <= MAX_N."""
     cache = TallyCache(jobs=jobs)
-    n8 = min(max_n, 8)
     n7 = min(max_n, 7)
     run = VerificationRun()
-    run.checks.append(check_recursions_vs_oracle(cache, n8))
-    run.checks.append(check_strong_fixed_point_identity(cache, n8))
+    run.checks.append(check_recursions_vs_oracle(cache, max_n))
+    run.checks.append(check_strong_fixed_point_identity(cache, max_n))
     run.checks.append(check_closed_forms())
     run.checks.append(check_polynomial_lifting())
     run.checks.append(check_pair_counts(n7))
     run.checks.append(check_efficient_counts(n7))
-    run.checks.append(check_singleton_formula(n8))
-    run.checks.append(check_disconnected_formula(cache, n8))
+    run.checks.append(check_singleton_formula(max_n))
+    run.checks.append(check_disconnected_formula(cache, max_n))
     if max_n >= 8:
         run.checks.append(check_combs())
     else:
         run.checks.append(check_combs(enumerate_n=(6,)))
     run.checks.append(check_extension(samples=samples))
     run.checks.append(check_connected_with_gamma())
-    run.checks.append(check_heuristic(n8))
+    run.checks.append(check_heuristic(max_n))
     run.checks.append(check_invariant_suite(n7))
     return run

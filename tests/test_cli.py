@@ -84,6 +84,20 @@ def test_count_d_with_c_table_file(capsys, tmp_path):
     assert payload["d"] == {"4,2": "7"}
 
 
+@pytest.mark.parametrize("text", [
+    None, "{", '{"n": {}}', '{"c": [1]}', '{"c": {"1": {"1": "one"}}}',
+    '{"c": {"1": {"1": null}}}', "[]",
+])
+def test_count_d_unreadable_c_table_is_an_error(capsys, tmp_path, text):
+    table = tmp_path / "c.json"
+    if text is not None:
+        table.write_text(text)
+    code, out, err = run(capsys, "count", "d", "--n", "4", "--k", "2",
+                         "--c-table", str(table))
+    assert code == 1 and out == ""
+    assert "ParseError: bad c-table file" in err and "Traceback" not in err
+
+
 def test_count_d_computes_table_when_absent(capsys):
     payload = run_json(capsys, "count", "d", "--n", "4", "--k", "2")
     assert payload["d"] == {"4,2": "7"}
@@ -180,23 +194,37 @@ def test_allow_big_raises_cap(capsys, monkeypatch):
     assert payload["n"] == 5
 
 
-@pytest.mark.parametrize("argv", [
+def _keep_ids(cases):
+    """pytest params for (argv, ...) cases under the ids pytest gave them
+    when they were recorded: `argv<position>`, then any further values.  A
+    case whose argv is None holds the place of one removed since, so the
+    ids after it do not shift."""
+    return [pytest.param(argv, *rest, id="-".join((f"argv{i}", *rest)))
+            for i, (argv, *rest) in enumerate(cases) if argv is not None]
+
+
+# None: rows of the removed `oracle verify` and `seq g1`.
+@pytest.mark.parametrize("argv", _keep_ids((argv,) for argv in [
     ("oracle", "tally", "--n", "3", "--jobs", "0"),
     ("oracle", "tally", "--n", "3", "--jobs", "-2"),
-    ("oracle", "verify", "--max-n", "3", "--jobs", "0"),
+    None,
     ("verify", "--max-n", "3", "--jobs", "-1"),
     ("count", "g1", "--max-n", "-5"),
     ("count", "f1", "--n", "-1"),
-    ("seq", "g1", "--max-n", "-1"),
+    None,
     ("seq", "st", "--max-n", "-1"),
     ("seq", "lift", "--r", "1"),
     ("seq", "lift", "--r", "0"),
     ("seq", "lift", "--r", "-1"),
     ("verify", "--max-n", "0"),
     ("verify", "--max-n", "-1"),
-    ("oracle", "verify", "--max-n", "0"),
-    ("oracle", "verify", "--max-n", "-1"),
-])
+    None,
+    None,
+    ("count", "d", "--n", "-3", "--k", "2"),
+    ("count", "d", "--n", "0", "--k", "2"),
+    ("count", "d", "--n", "5", "--k", "-1"),
+    ("count", "d", "--n", "5", "--k", "0"),
+]))
 def test_out_of_range_sizes_and_jobs_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -204,14 +232,18 @@ def test_out_of_range_sizes_and_jobs_are_usage_errors(capsys, argv):
     assert "must be at least" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
+# None: the row of the removed `seq g1`.
+@pytest.mark.parametrize("argv", _keep_ids((argv,) for argv in [
     ("count", "g1", "--max-n", "3000"),
     ("count", "f1", "--n", "1001"),
     ("count", "pair", "--n", "1001", "--u", "1", "--v", "2"),
     ("count", "efficient", "--n", "1001", "--set", "1"),
-    ("seq", "g1", "--max-n", "1001"),
+    None,
     ("seq", "lift", "--r", "81"),
-])
+    ("count", "d", "--n", "96", "--k", "2"),
+    ("count", "d", "--n", "5", "--k", "96"),
+    ("verify", "--max-n", "9"),
+]))
 def test_sizes_above_the_caps_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -224,19 +256,32 @@ def test_the_caps_themselves_are_accepted_and_printable():
     import sys
     from math import factorial
 
-    from permdom import counting, sequences
+    from permdom import counting, sequences, verify
     from permdom.cli import build_parser
 
     cap = str(counting.MAX_ORDER)
+    d_cap = str(counting.MAX_D_ORDER)
     for argv in (["count", "g1", "--max-n", cap], ["count", "f1", "--n", cap],
                  ["count", "pair", "--n", cap, "--u", "1", "--v", "2"],
                  ["count", "efficient", "--n", cap, "--set", "1"],
-                 ["seq", "g1", "--max-n", cap],
-                 ["seq", "lift", "--r", str(sequences.MAX_LIFT_OFFSET)]):
+                 ["count", "d", "--n", d_cap, "--k", d_cap],
+                 ["seq", "lift", "--r", str(sequences.MAX_LIFT_OFFSET)],
+                 ["verify", "--max-n", str(verify.MAX_N)]):
         build_parser().parse_args(argv)
     # Every count up to the cap is at most n!, so it prints without raising
     # the int-to-str digit limit.
     assert len(str(factorial(counting.MAX_ORDER))) < sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("argv", [
+    ("seq", "g1", "--max-n", "5"),
+    ("oracle", "verify", "--max-n", "3"),
+])
+def test_removed_duplicate_commands_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_tally_output_is_identical_across_jobs(capsys):
@@ -340,7 +385,7 @@ def _count_corpus():
         + [("count", "f1", "--n", "9", "--format", "csv")]
         + [("count", "g1", "--max-n", m) for m in ("0", "1", "260")]
         + [("count", "g1", "--max-n", "9", "--format", "csv")]
-        + [("seq", "g1", "--max-n", m) for m in ("0", "260")]
+        + [None, None]  # `seq g1 --max-n 0|260`, removed with the command
         + [("count", "pair", "--n", n, "--u", u, "--v", v, *flag)
            for n, u, v in pair_sizes
            for flag in ((), ("--adjacent",), ("--nonadjacent",))]
@@ -353,7 +398,7 @@ def _count_corpus():
 
 # SHA-256 of stdout for each argv of _count_corpus, in order, recorded with
 # the recursive f1/g1 tables and the literal pair and efficient sums that
-# preceded the power-series kernel.
+# preceded the power-series kernel; "-" where the argv is None.
 COUNT_GOLDEN_DIGESTS = """
 632c68d6b54613b4e5112dafc37f4130e18bf77100fd1ae7fe9b290855f5e83d
 0feb32bb4fe4b9667c9631ded49f410638cf669b41d47cb23192de9cf0398cf4
@@ -366,8 +411,8 @@ a3c1f07490a0a4075597b572575e072ad9d369ac256bcd1ef279913b23899c08
 099b2d356d46405ffe575200226c7631facc9e919d4b35a2ff57239ad7dcb943
 c791937ab388cc85965b88b7a350a79eabaa23303166d465d803ae273005844f
 fa90d75de06f44ddd2c95b29dadd90723399a12ddca041eda0330d23a55c8374
-a3c1f07490a0a4075597b572575e072ad9d369ac256bcd1ef279913b23899c08
-c791937ab388cc85965b88b7a350a79eabaa23303166d465d803ae273005844f
+-
+-
 10873ba34f3c62e7ba65442063f66de792ee712118b9e9900012372bbe69af5e
 b86e0b46bf7f6c6d07414ec532ad740fdb67f982eb0442e06094a369a9ae37e8
 3721c21e87f9e44e0a7c2f4a9da26741d9e64109edd703ead119a9650d3719d0
@@ -426,7 +471,7 @@ b6345b80bb55f38e896c56f0772adc1bd61559f96c6cec79bd67ca2d94a88d37
 
 
 @pytest.mark.parametrize(
-    "argv,digest", list(zip(_count_corpus(), COUNT_GOLDEN_DIGESTS, strict=True)))
+    "argv,digest", _keep_ids(zip(_count_corpus(), COUNT_GOLDEN_DIGESTS, strict=True)))
 def test_count_golden_stdout_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -3,6 +3,7 @@ from itertools import permutations as perms
 
 import pytest
 
+from permdom import constructions
 from permdom.constructions import (
     comb_sigma,
     comb_tau,
@@ -37,6 +38,17 @@ def test_comb_order_validation():
         comb_sigma(4)
     with pytest.raises(OddOrder):
         comb_tau(7)
+
+
+@pytest.mark.parametrize("build", [comb_sigma, comb_tau])
+def test_combs_reject_orders_above_the_cap_before_building(build, monkeypatch):
+    assert build_graph(build(64)).n == 64
+    monkeypatch.setattr(constructions, "_piecewise",
+                        lambda *args: pytest.fail("built the permutation"))
+    with pytest.raises(OrderTooLarge, match="^n = 2000000 exceeds the 64-vertex cap$"):
+        build(2_000_000)
+    with pytest.raises(OddOrder):
+        build(2_000_001)
 
 
 @pytest.mark.parametrize("n", [6, 8, 10, 12])

@@ -5,12 +5,10 @@ import pytest
 
 from permdom.counting import (
     CountTable,
-    compositions,
     disconnected_count,
     efficient_dom_count,
     f1,
     g1,
-    multinomial,
     pair_count,
     pair_count_adjacent,
     pair_count_nonadjacent,
@@ -119,14 +117,6 @@ def test_efficient_counts_match_brute_force(n):
     for size in range(2, min(5, n) + 1):
         for a in combinations(range(1, n + 1), size):
             assert efficient_dom_count(n, a) == brute_efficient(n, a)
-
-
-def test_multinomial_and_compositions():
-    assert multinomial([2, 1, 1]) == 12
-    assert multinomial([3]) == 1
-    assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-    assert list(compositions(3, 2, min_part=1)) == [(1, 2), (2, 1)]
-    assert list(compositions(0, 0)) == [()]
 
 
 def small_c_table():

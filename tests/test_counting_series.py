@@ -2,7 +2,8 @@
 
 The reference functions below are the literal evaluations that `counting`
 used before it was rebuilt on the series: the memoised f1/g1 recursion, the
-O(n^4) pair sums and the composition sum over every split of every gap.
+O(n^4) pair sums, the composition sum over every split of every gap, and the
+composition sums over component sizes and domination numbers for d(n, k).
 They stay here as the oracle for the fast forms.
 """
 from functools import lru_cache
@@ -13,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permdom import oracle
 from permdom.counting import (
+    CountTable,
+    disconnected_count,
     efficient_dom_count,
     f0_column,
     f1,
@@ -23,6 +27,7 @@ from permdom.counting import (
     pair_count_adjacent,
     pair_count_nonadjacent,
 )
+from permdom.errors import MissingTableEntry
 
 
 @lru_cache(maxsize=None)
@@ -101,6 +106,85 @@ def ref_efficient(n, a):
     return total
 
 
+def multinomial(parts) -> int:
+    """Multinomial coefficient (sum(parts) choose parts), as a product of
+    binomials."""
+    total = 0
+    out = 1
+    for p in parts:
+        total += p
+        out *= comb(total, p)
+    return out
+
+
+def compositions(total: int, parts: int, min_part: int = 0):
+    """Ordered tuples of `parts` integers >= min_part summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min_part, total - min_part * (parts - 1) + 1):
+        for rest in compositions(total - first, parts - 1, min_part):
+            yield (first,) + rest
+
+
+def _size_tuples(mults, n):
+    """Strictly increasing size tuples (n_1 < ... < n_l) with
+    sum(mults[i] * n_i) = n."""
+
+    def rec(idx: int, low: int, remaining: int):
+        if idx == len(mults):
+            if remaining == 0:
+                yield ()
+            return
+        r = mults[idx]
+        rest_min = sum(mults[idx + 1:])  # every later size exceeds this one
+        for size in range(low, remaining + 1):
+            need = remaining - r * size
+            if need < rest_min * (size + 1):
+                break
+            for tail in rec(idx + 1, size + 1, need):
+                yield (size,) + tail
+
+    yield from rec(0, 1, n)
+
+
+def ref_disconnected_count(n: int, k: int, c_table: CountTable) -> int:
+    """Disconnected permutation graphs on n vertices with domination number
+    k, from the table of connected counts c(m, j) for m < n.
+
+    Sums over the number of components r, the multiset of component sizes
+    (r_i components of size n_i), and the split of the domination number
+    across the size classes.
+    """
+    for m in range(1, n):
+        if not c_table.has_row(m):
+            raise MissingTableEntry(f"no c(n, k) entries for n = {m}")
+    total = 0
+    for r in range(2, k + 1):
+        for ell in range(1, r + 1):
+            for mults in compositions(r, ell, min_part=1):
+                for sizes in _size_tuples(mults, n):
+                    for ks in compositions(k, ell):
+                        if any(ki < ri for ki, ri in zip(ks, mults)):
+                            continue
+                        term = multinomial(mults)
+                        for ni, ri, ki in zip(sizes, mults, ks):
+                            inner = 0
+                            for kparts in compositions(ki, ri, min_part=1):
+                                prod = 1
+                                for kt in kparts:
+                                    prod *= c_table.get(ni, kt)
+                                    if prod == 0:
+                                        break
+                                inner += prod
+                            term *= inner
+                            if term == 0:
+                                break
+                        total += term
+    return total
+
+
 def test_f1_and_g1_match_the_recursion_up_to_60():
     rows = f1_triangle(60)
     assert g1_column(60) == [ref_g1(n) for n in range(61)]
@@ -148,3 +232,52 @@ def member_sets(draw):
 def test_efficient_counts_match_the_split_sum_hypothesis(case):
     n, a = case
     assert efficient_dom_count(n, a) == ref_efficient(n, a)
+
+
+def test_multinomial_and_compositions():
+    assert multinomial([2, 1, 1]) == 12
+    assert multinomial([3]) == 1
+    assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+    assert list(compositions(3, 2, min_part=1)) == [(1, 2), (2, 1)]
+    assert list(compositions(0, 0)) == [()]
+
+
+def test_disconnected_count_matches_the_composition_sum_on_the_oracle():
+    table = oracle.c_table(8)
+    for n in range(10):
+        for k in range(-1, n + 2):
+            assert disconnected_count(n, k, table) == ref_disconnected_count(
+                n, k, table)
+
+
+@st.composite
+def c_tables(draw):
+    """(n, table): rows 1..n-1 at least, some beyond n, each with zero
+    values and c(m, 0) or c(m, j > m) entries among its keys."""
+    n = draw(st.integers(0, 9))
+    entries = {}
+    for m in range(1, draw(st.integers(max(n - 1, 0), 11)) + 1):
+        for j in draw(st.lists(st.integers(0, m + 1), min_size=1,
+                               max_size=m + 2, unique=True)):
+            entries[(m, j)] = draw(st.integers(0, 50))
+    return n, CountTable(kind="c", entries=entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c_tables())
+def test_disconnected_count_matches_the_composition_sum_hypothesis(case):
+    n, table = case
+    for k in range(-1, n + 3):
+        assert disconnected_count(n, k, table) == ref_disconnected_count(
+            n, k, table)
+
+
+def test_disconnected_count_checks_the_same_rows_as_the_composition_sum():
+    table = CountTable(kind="c", entries={(1, 1): 1, (3, 1): 3, (5, 2): 1})
+    for n in range(7):
+        for count in (disconnected_count, ref_disconnected_count):
+            if n <= 2:
+                assert count(n, 2, table) == (n == 2)
+            else:
+                with pytest.raises(MissingTableEntry, match="n = 2"):
+                    count(n, 2, table)
