@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -573,6 +574,54 @@ fe744d9fc03bac8d2a96c17ae9e19b9e7c723dc83774a4b865257805f854ad27
 def test_d_and_verify_golden_stdout_digest(capsys, c_table_files, argv, digest):
     argv = [c_table_files.get(arg, arg) if prev == "--c-table" else arg
             for prev, arg in zip(("",) + argv, argv)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _heuristic_corpus():
+    """`analyze` where the clique heuristic has many cliques to list: the
+    skew sum of n/2 increasing pairs (2^(n/2) maximal cliques), and seeded
+    random permutations of order 33..48."""
+    skew = [",".join(str(v) for j in range(n - 1, 0, -2) for v in (j, j + 1))
+            for n in (8, 12, 16, 20, 24)]
+    rng = random.Random(48)
+    shuffled = []
+    for _ in range(12):
+        n = rng.randint(33, 48)
+        image = list(range(1, n + 1))
+        rng.shuffle(image)
+        shuffled.append(",".join(map(str, image)))
+    return [("analyze", p) for p in skew + shuffled]
+
+
+# SHA-256 of stdout for each argv of _heuristic_corpus, in order, recorded
+# with the Bron-Kerbosch clique listing and the list-scan heuristic.
+HEURISTIC_GOLDEN_DIGESTS = """
+def866b9aa6862af4d1b8f95f164dfac5994bd6ea6f57d6fa39e0f1e96c58517
+479e00cadc55d7e0f068a10ba7c5ef636482e8c71f0b5a97a40174fc9c33848d
+e5ac0e2ed4f48e023c7afbb558a53f023465c19ac6bf223b6f3e3badd8352c28
+5572b96fcbddadeeaf62467a05908840da2b1b08f61a65ee53c0498656b0e054
+bb5f0936a4e7c1b2055f96a72dd262c86156fdbff40de04199932a10044b45ba
+f04bca02cd0d9502caf9e404fc0a5d1aed36e9db793f251000fb52ca7ff78e9f
+06f9052a89006febde35ffbb00808d2e2cfcca13f24b24f61c1b9d7c6d6b4ec8
+57454a9d6ddab2a1792cde255b405d0907f90dda2c0fde0fe36d5ab0ff7c11d9
+fe74b7a197820e80c21d0c404896ea914da5202f66c1c3de7acd9a7a72566ec5
+247c351244200a72f7f58d11888e623e87100a38a8e7f700dd73401567b702ff
+94244b7fa3dc794c2899208f04a58e9db39ba4bd4aef5abcc5a9d6e7f778eb7c
+63aa684f2e3cdcdf2357751d20e88c03b8ce8ac56cfe4578b82a4a0d04c1bf8f
+f1ee499e1d4f2f59ee226626177e135e7d21f077104bdd7deeb9cc640810cef6
+a8bbf357a5f0409d79dd78fe7f74ca601441a355d5de45495834be5ea8199cb9
+5cecee8de804684da954456a3430488d1ad61e9d0f15ba1f43089ce94e4e544b
+8c19ce5197b74ebc279cc22d34198d8fd315038010622e8f7c6a64be34a3d72c
+3772dfbc74ffc334acc1a7817d4c0724c3f51d323b6ac5526572d3ff0310acee
+""".split()
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    list(zip(_heuristic_corpus(), HEURISTIC_GOLDEN_DIGESTS, strict=True)))
+def test_heuristic_golden_stdout_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
