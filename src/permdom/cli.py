@@ -22,7 +22,7 @@ from .domination import (
     quick_rule_position_ends,
     quick_rule_value_ends,
 )
-from .errors import BadSetting, ParseError, PermdomError
+from .errors import BadSetting, OrderCapExceeded, ParseError, PermdomError
 from .graph import build_graph, is_connected
 from .perm import parse_permutation, reverse, strong_fixed_points
 
@@ -155,6 +155,11 @@ def cmd_count(args) -> int:
             table = _load_c_table(args.c_table)
         else:
             cap = _cap_from_env()
+            if args.n - 1 > cap:  # fail before sweeping the orders below it
+                raise OrderCapExceeded(
+                    f"count d --n {args.n} needs the connected counts for "
+                    f"n = {args.n - 1}, outside the enumeration cap [1, {cap}]; "
+                    "pass --c-table")
             table = oracle.c_table(
                 args.n - 1, lambda n: oracle.full_tally(n, cap=cap))
         value = counting.disconnected_count(args.n, args.k, table)
@@ -360,9 +365,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # One parser per process, built on the first call: building it costs
+    # more than most requests.  Parsing leaves no state on the parser.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

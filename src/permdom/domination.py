@@ -231,74 +231,89 @@ def quick_rule_position_ends(p: Permutation) -> DominationResult | None:
 
 
 def maximal_cliques(g: PermutationGraph) -> list[int]:
-    """All maximal cliques as bitmasks (Bron-Kerbosch, no pivoting; cliques
-    of a permutation graph are the maximal decreasing subsequences)."""
-    out: list[int] = []
-    rows = g.rows
+    """All maximal cliques as bitmasks, in no particular order.
 
-    def extend(clique: int, cand: int, excl: int) -> None:
-        if not cand and not excl:
+    A clique of a permutation graph is a decreasing subsequence, so a
+    maximal clique is a maximal chain of the poset in which position i lies
+    below position j when i < j and p(i) > p(j).  Its Hasse diagram has an
+    edge i -> j when, in addition, no position between i and j holds a value
+    between p(j) and p(i).  The maximal chains are exactly the paths from a
+    source (no earlier larger value) to a sink (no later smaller value), so
+    walking every such path lists each maximal clique once, with no dead
+    ends.  The empty graph's one maximal clique is the empty set.
+    """
+    image = g.source.image
+    n = len(image)
+    bits = [1 << (v - 1) for v in image]
+    below: list[list[int]] = []
+    has_above = [False] * n
+    for i, top in enumerate(image):
+        succ = []
+        ceiling = 0  # the largest value below `top` seen after position i
+        for j in range(i + 1, n):
+            v = image[j]
+            if ceiling < v < top:
+                succ.append(j)
+                has_above[j] = True
+                ceiling = v
+        below.append(succ)
+    out: list[int] = []
+    stack = [(i, bits[i]) for i in range(n) if not has_above[i]]
+    while stack:
+        i, clique = stack.pop()
+        if below[i]:
+            stack.extend((j, clique | bits[j]) for j in below[i])
+        else:
             out.append(clique)
-            return
-        m = cand
-        while m:
-            bit = m & -m
-            v = bit.bit_length() - 1
-            extend(clique | bit, cand & rows[v], excl & rows[v])
-            cand &= ~bit
-            excl |= bit
-            m &= ~bit
-    extend(0, g.full_mask(), 0)
-    return out
+    return out or [0]
 
 
 def heuristic_dominating_set(g: PermutationGraph) -> DominationResult:
     """Hand-style dominating set from decreasing subsequences.
 
     Collect all maximum cliques, plus all maximal cliques through each value
-    not covered by a maximum clique; then repeatedly take the most frequent
-    vertex across the collected cliques (ties to the smallest vertex) and
-    drop every clique containing it.  The result is verified and greedily
-    repaired if it fails to dominate.
+    not covered by a maximum clique (the maximal cliques are listed as
+    source-to-sink paths of the decreasing-pair Hasse diagram); then
+    repeatedly take the most frequent vertex across the collected cliques
+    (ties to the smallest vertex) and drop every clique containing it.  The
+    result is verified and greedily repaired if it fails to dominate.
     """
     cliques = maximal_cliques(g)
     best = max((c.bit_count() for c in cliques), default=0)
-    collected = [c for c in cliques if c.bit_count() == best]
     covered = 0
-    for c in collected:
-        covered |= c
-    for v in range(1, g.n + 1):
-        if covered >> (v - 1) & 1:
-            continue
-        for c in cliques:
-            if c >> (v - 1) & 1 and c not in collected:
-                collected.append(c)
+    for c in cliques:
+        if c.bit_count() == best:
+            covered |= c
+    uncovered = g.full_mask() ^ covered
+    collected = [c for c in cliques if c & uncovered or c.bit_count() == best]
 
+    freq = [0] * g.n
+    for c in collected:
+        _tally_bits(freq, c, 1)
     chosen: list[int] = []
     while collected:
-        freq = [0] * g.n
+        v = freq.index(max(freq))  # ties break to the smallest vertex
+        chosen.append(v + 1)
+        bit = 1 << v
+        kept = []
         for c in collected:
-            m = c
-            while m:
-                bit = m & -m
-                freq[bit.bit_length() - 1] += 1
-                m &= ~bit
-        top = max(freq)
-        v = freq.index(top) + 1  # ties break to the smallest vertex
-        chosen.append(v)
-        collected = [c for c in collected if not c >> (v - 1) & 1]
+            if c & bit:
+                _tally_bits(freq, c, -1)
+            else:
+                kept.append(c)
+        collected = kept
 
-    repaired = False
+    rows = g.closed_rows()
+    full = g.full_mask()
     cover = 0
     for v in chosen:
-        cover |= g.closed_row(v)
-    full = g.full_mask()
+        cover |= rows[v - 1]
+    repaired = cover != full
     while cover != full:
-        repaired = True
-        gains = [(g.closed_row(v) & ~cover).bit_count() for v in range(1, g.n + 1)]
+        gains = [(row & ~cover).bit_count() for row in rows]
         v = gains.index(max(gains)) + 1
         chosen.append(v)
-        cover |= g.closed_row(v)
+        cover |= rows[v - 1]
 
     return DominationResult(
         gamma=len(chosen),
@@ -306,3 +321,11 @@ def heuristic_dominating_set(g: PermutationGraph) -> DominationResult:
         method=HEURISTIC,
         repaired=repaired,
     )
+
+
+def _tally_bits(freq: list[int], mask: int, step: int) -> None:
+    """Add `step` to freq[i] for every bit i of `mask`."""
+    while mask:
+        low = mask & -mask
+        freq[low.bit_length() - 1] += step
+        mask ^= low

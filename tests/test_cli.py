@@ -625,3 +625,69 @@ def test_heuristic_golden_stdout_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch, tmp_path):
+    from permdom import cli
+
+    target = tmp_path / "report.json"
+    sequence = [
+        ("analyze", "3,1,4,2"),
+        ("count", "pair", "--n", "3", "--u", "1", "--v", "4"),  # exit 1
+        ("analyze", "1,1,2"),  # exit 1
+        ("count", "pair", "--n", "3", "--u", "1", "--v", "3",
+         "--adjacent", "--nonadjacent"),  # exit 2
+        ("nonsense",),  # exit 2
+        ("analyze", "2,1", "--out", str(target)),
+        ("analyze", "2,1"),
+        ("count", "f1", "--n", "4", "--format", "csv"),
+        ("verify", "--max-n", "2"),
+        ("construct", "comb", "--n", "6"),
+    ]
+
+    def outcomes(fresh):
+        results = []
+        for argv in sequence:
+            if fresh:
+                monkeypatch.setattr(cli, "_parser", None)
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    built = []
+    real_build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = outcomes(fresh=False)
+    assert len(built) == 1
+    assert outcomes(fresh=True) == reused
+    assert len(built) == 1 + len(sequence)
+    assert [code for code, _ in reused] == [0, 1, 1, 2, 2, 0, 0, 0, 0, 0]
+    assert reused[5][1] == "" and target.read_text() == reused[6][1]
+
+
+def test_count_d_above_the_cap_fails_before_any_sweep(capsys, monkeypatch):
+    from permdom import oracle
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept S_n")
+
+    monkeypatch.setattr(oracle, "full_tally", no_sweep)
+    code, out, err = run(capsys, "count", "d", "--n", "12", "--k", "3")
+    assert code == 1 and out == ""
+    assert "OrderCapExceeded" in err and "n = 11" in err
+    monkeypatch.setenv("PERMDOM_MAX_N", "3")
+    code, _, err = run(capsys, "count", "d", "--n", "5", "--k", "2")
+    assert code == 1 and "OrderCapExceeded" in err
+    monkeypatch.undo()
+    monkeypatch.setenv("PERMDOM_MAX_N", "3")  # n - 1 at the cap still sweeps
+    assert run_json(capsys, "count", "d", "--n", "4", "--k", "2")["d"] == {
+        "4,2": "7"}
