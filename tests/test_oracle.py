@@ -138,7 +138,7 @@ def test_sweep_rank_ranges_concatenate_to_the_whole_sweep():
 
 
 class SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs the
+    """Stands in for the process pool: records max_workers, runs the
     chunks in this process."""
 
     def __init__(self, workers: list, max_workers: int):
@@ -161,8 +161,8 @@ def test_tally_is_identical_for_every_chunking(monkeypatch):
 
     workers = []
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor",
-                        lambda max_workers: SerialPool(workers, max_workers))
+    monkeypatch.setattr(oracle, "_process_pool",
+                        lambda count: SerialPool(workers, count))
     reports = [full_tally(6, jobs=j) for j in (1, 2, 3, 7)]
     assert workers == [2, 3, 7]
     first = reports[0]
@@ -178,8 +178,8 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
 
     workers = []
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor",
-                        lambda max_workers: SerialPool(workers, max_workers))
+    monkeypatch.setattr(oracle, "_process_pool",
+                        lambda count: SerialPool(workers, count))
     big = full_tally(4, jobs=10**6)
     assert workers == [2]
     assert big.g == full_tally(4, jobs=0).g == full_tally(4).g
