@@ -246,7 +246,6 @@ def maximal_cliques(g: PermutationGraph) -> list[int]:
     n = len(image)
     bits = [1 << (v - 1) for v in image]
     below: list[list[int]] = []
-    has_above = [False] * n
     for i, top in enumerate(image):
         succ = []
         ceiling = 0  # the largest value below `top` seen after position i
@@ -254,15 +253,21 @@ def maximal_cliques(g: PermutationGraph) -> list[int]:
             v = image[j]
             if ceiling < v < top:
                 succ.append(j)
-                has_above[j] = True
                 ceiling = v
+                if v == top - 1:  # no value fits between any more
+                    break
         below.append(succ)
     out: list[int] = []
-    stack = [(i, bits[i]) for i in range(n) if not has_above[i]]
+    stack = []
+    highest = 0
+    for i, v in enumerate(image):  # the sources are the left-to-right maxima
+        if v > highest:
+            highest = v
+            stack.append((i, bits[i]))
     while stack:
         i, clique = stack.pop()
         if below[i]:
-            stack.extend((j, clique | bits[j]) for j in below[i])
+            stack.extend([(j, clique | bits[j]) for j in below[i]])
         else:
             out.append(clique)
     return out or [0]
