@@ -135,22 +135,7 @@ def test_skew_pairs_and_combs(n):
     assert len(maximal_cliques(build_graph(skew_pairs(n)))) == 2 ** (n // 2)
 
 
-def test_hasse_paths_on_a_small_example():
-    # 4,1,3,2: the decreasing-pair Hasse diagram has edges 4->3, 4->1, 3->2
-    # (4->2 is cut by 3), so the source-to-sink paths are 4,3,2 and 4,1.
-    g = build_graph(Permutation((4, 1, 3, 2)))
-    assert sorted(maximal_cliques(g)) == sorted([0b1110, 0b1001])
-
-
 def test_the_empty_graph_has_one_empty_clique():
     g = build_graph(Permutation(()))
     assert maximal_cliques(g) == ref_maximal_cliques(g) == [0]
-
-
-def test_identity_and_decreasing():
-    for n in range(1, 12):
-        ident = build_graph(Permutation(tuple(range(1, n + 1))))
-        assert sorted(maximal_cliques(ident)) == [1 << i for i in range(n)]
-        dec = build_graph(Permutation(tuple(range(n, 0, -1))))
-        assert maximal_cliques(dec) == [(1 << n) - 1]
 
