@@ -46,13 +46,7 @@ from .graph import (
     is_connected,
     is_connected_search,
 )
-from .oracle import (
-    TallyReport,
-    efficient_tally,
-    full_tally,
-    heuristic_quality,
-    pair_tally,
-)
+from .oracle import TallyReport, full_tally, heuristic_quality
 from .perm import (
     Permutation,
     inverse,

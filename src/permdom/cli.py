@@ -347,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq", help="strong-fixed-point sequences")
     what = p.add_subparsers(dest="what", required=True)
     q = what.add_parser("st")
-    q.add_argument("--max-n", type=_bounded_int(0), required=True)
+    q.add_argument("--max-n", type=_bounded_int(0, sequences.MAX_ST_ORDER),
+                   required=True)
     add_format(q)
     add_out(q)
     q = what.add_parser("lift")

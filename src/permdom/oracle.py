@@ -8,10 +8,10 @@ connectivity, strong fixed points and singleton dominators in O(1) per
 placed value, instead of building every graph from scratch.  Every S_n loop
 in this module and in `verify` runs on it.
 
-A sweep can be restricted to a range [start, stop) of lexicographic ranks;
-subtrees wholly outside the range are skipped by their size.  Parallel
-tallies split the rank space into contiguous chunks whose tallies merge by
-addition, so any worker count produces the identical report.
+A sweep can be restricted to the permutations that begin with given
+values.  Parallel tallies sweep one subtree per ordered pair of leading
+values; the subtrees' tallies merge by addition, so any worker count
+produces the identical report.
 """
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from math import factorial
+from itertools import permutations
 
-from .counting import CountTable
+from .counting import CountTable, _check_pair
 from .domination import (
     _minimum_cover,
     heuristic_dominating_set,
@@ -56,24 +56,15 @@ def _check_cap(n: int, cap: int) -> None:
         raise OrderCapExceeded(f"n = {n} outside the enumeration cap [1, {cap}]")
 
 
-def rank_permutation(n: int, rank: int) -> Permutation:
-    """The permutation at a given lexicographic rank (0-based)."""
-    values = list(range(1, n + 1))
-    image = []
-    for i in range(n, 0, -1):
-        q, rank = divmod(rank, factorial(i - 1))
-        image.append(values.pop(q))
-    return Permutation(tuple(image))
-
-
-def sweep(n: int, start: int = 0, stop: int | None = None):
-    """Every permutation of [n] with lexicographic rank in [start, stop), in
-    rank order, with the facts the oracle tallies.
+def sweep(n: int, lead=()):
+    """Every permutation of [n] that begins with the values in `lead`, in
+    lexicographic order, with the facts the oracle tallies.
 
     Yields (image, rows, connected, strong, singles): the one-line notation,
     the closed neighborhoods (rows[v-1] = N[v] as a bitmask), whether the
     graph is connected, the number of strong fixed points and the number of
-    singleton dominators.
+    singleton dominators.  A lead that repeats a value or names one above n
+    yields nothing.
 
     Values are placed one position at a time.  When v is placed after the
     prefix set P, N[v] is already final: smaller values are neighbors
@@ -83,28 +74,22 @@ def sweep(n: int, start: int = 0, stop: int | None = None):
     position k holds a strong fixed point when v == k and the prefix before
     it is {1..k-1}.
     """
-    total = factorial(n)
-    stop = total if stop is None else min(stop, total)
     if n == 0:
-        if start < stop:
-            yield (), (), True, 0, 0
+        yield (), (), True, 0, 0
         return
     full = (1 << n) - 1
     image = [0] * n
     rows = [0] * n
 
-    def place(d, prefix, base, disconnected, strong, singles):
-        # base is the rank of the first permutation below this prefix.
-        size = factorial(n - 1 - d)
+    def place(d, prefix, disconnected, strong, singles):
         low = (1 << d) - 1
         split = (low << 1) | 1
         free = full ^ prefix
-        while free and base < stop:
+        if d < len(lead):
+            free &= 1 << (lead[d] - 1)
+        while free:
             bit = free & -free
             free ^= bit
-            if base + size <= start:
-                base += size
-                continue
             v = bit.bit_length()
             row = prefix ^ ((bit << 1) - 1)
             image[d] = v
@@ -115,27 +100,26 @@ def sweep(n: int, start: int = 0, stop: int | None = None):
                 yield (tuple(image), tuple(rows), not disconnected,
                        strong_now, singles_now)
             else:
-                yield from place(d + 1, prefix | bit, base,
+                yield from place(d + 1, prefix | bit,
                                  disconnected or prefix | bit == split,
                                  strong_now, singles_now)
-            base += size
 
-    yield from place(0, 0, 0, False, 0, 0)
+    yield from place(0, 0, False, 0, 0)
 
 
-def iter_permutations(n: int, start: int = 0, stop: int | None = None):
+def iter_permutations(n: int):
     """Permutations of [n] in lexicographic order, as Permutation values."""
-    return (Permutation(image) for image, *_ in sweep(n, start, stop))
+    return (Permutation(image) for image, *_ in sweep(n))
 
 
 def _tally_chunk(args) -> Counter:
     """(gamma, connected, singleton dominators, strong fixed points) ->
-    number of permutations, over one rank range."""
-    n, start, stop = args
+    number of permutations, over the ones that begin with `lead`."""
+    n, lead = args
     full = (1 << n) - 1
     return Counter(
         (len(_minimum_cover(rows, full)), connected, singles, strong)
-        for _, rows, connected, strong, singles in sweep(n, start, stop)
+        for _, rows, connected, strong, singles in sweep(n, lead)
     )
 
 
@@ -159,16 +143,16 @@ def full_tally(n: int, jobs: int = 1, cap: int = DEFAULT_CAP) -> TallyReport:
     points over all of S_n."""
     _check_cap(n, min(cap, HARD_CAP))
     started = time.perf_counter()
-    total = factorial(n)
     workers = _worker_count(jobs)
     if workers == 1:
-        merged = _tally_chunk((n, 0, total))
+        merged = _tally_chunk((n, ()))
     else:
-        step = -(-total // workers)
-        chunks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
+        # One chunk per ordered pair of leading values (72 at n = 9): many
+        # more chunks than workers, so uneven gamma-search costs share out.
+        leads = permutations(range(1, n + 1), min(2, n))
         merged = Counter()
         with _process_pool(workers) as pool:
-            for part in pool.map(_tally_chunk, chunks):
+            for part in pool.map(_tally_chunk, [(n, lead) for lead in leads]):
                 merged.update(part)
     hist = {key: Counter() for key in ("g", "c", "d", "f1", "st")}
     for (gamma, connected, singles, strong), count in merged.items():
@@ -196,14 +180,13 @@ def c_table(max_n: int, tally=full_tally) -> CountTable:
     return table
 
 
-def pair_tallies(n: int, pairs, cap: int = DEFAULT_CAP) -> dict:
+def pair_tallies(n: int, pairs) -> dict:
     """(u, v) -> (nonadjacent, adjacent) counts of permutations whose graph
     is dominated by {u, v}, for every pair in `pairs`, in one sweep."""
-    _check_cap(n, min(cap, HARD_CAP))
+    _check_cap(n, DEFAULT_CAP)
     pairs = [tuple(pair) for pair in pairs]
     for u, v in pairs:
-        if not 1 <= u < v <= n:
-            raise OrderCapExceeded(f"need 1 <= u < v <= n, got u={u}, v={v}, n={n}")
+        _check_pair(n, u, v)
     full = (1 << n) - 1
     counts = {pair: [0, 0] for pair in pairs}
     for _, rows, *_ in sweep(n):
@@ -214,17 +197,11 @@ def pair_tallies(n: int, pairs, cap: int = DEFAULT_CAP) -> dict:
     return {pair: tuple(slot) for pair, slot in counts.items()}
 
 
-def pair_tally(n: int, u: int, v: int, cap: int = DEFAULT_CAP) -> tuple[int, int]:
-    """(nonadjacent, adjacent) counts of permutations whose graph is
-    dominated by {u, v}."""
-    return pair_tallies(n, [(u, v)], cap)[u, v]
-
-
-def efficient_tallies(n: int, sets, cap: int = DEFAULT_CAP) -> dict:
+def efficient_tallies(n: int, sets) -> dict:
     """Vertex tuple -> number of permutations whose graph is efficiently
     dominated by it (closed neighborhoods partition the vertices), for every
     tuple in `sets`, in one sweep."""
-    _check_cap(n, min(cap, HARD_CAP))
+    _check_cap(n, DEFAULT_CAP)
     sets = [tuple(a) for a in sets]
     for a in sets:
         for v in a:
@@ -246,17 +223,10 @@ def efficient_tallies(n: int, sets, cap: int = DEFAULT_CAP) -> dict:
     return counts
 
 
-def efficient_tally(n: int, a, cap: int = DEFAULT_CAP) -> int:
-    """Permutations whose graph is efficiently dominated by the vertex
-    list a."""
-    members = tuple(a)
-    return efficient_tallies(n, [members], cap)[members]
-
-
-def singleton_domination_tally(n: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
+def singleton_domination_tally(n: int) -> dict[int, int]:
     """For each k, the number of permutations whose graph has {k} as a
     dominating set."""
-    _check_cap(n, min(cap, HARD_CAP))
+    _check_cap(n, DEFAULT_CAP)
     full = (1 << n) - 1
     counts = Counter()
     for _, rows, _, _, singles in sweep(n):
@@ -265,10 +235,10 @@ def singleton_domination_tally(n: int, cap: int = DEFAULT_CAP) -> dict[int, int]
     return dict(sorted(counts.items()))
 
 
-def connected_gamma_permutations(n: int, k: int, cap: int = DEFAULT_CAP):
+def connected_gamma_permutations(n: int, k: int):
     """All permutations of [n] with a connected graph of domination number
     k, in lexicographic order."""
-    _check_cap(n, min(cap, HARD_CAP))
+    _check_cap(n, DEFAULT_CAP)
     full = (1 << n) - 1
     return [
         Permutation(image)
@@ -289,7 +259,7 @@ class HeuristicQuality:
         return self.optimal / considered if considered else 1.0
 
 
-def heuristic_quality(n: int, cap: int = 8) -> HeuristicQuality:
+def heuristic_quality(n: int) -> HeuristicQuality:
     """Run the hand heuristic over all of S_n.
 
     Each graph is built from the sweep's closed neighborhoods.  Permutations
@@ -297,7 +267,7 @@ def heuristic_quality(n: int, cap: int = 8) -> HeuristicQuality:
     `optimal` counts the remaining ones where the heuristic set has minimum
     size.  Every heuristic output is also asserted to dominate.
     """
-    _check_cap(n, min(cap, HARD_CAP))
+    _check_cap(n, 8)
     full = (1 << n) - 1
     total = excluded = optimal = 0
     for image, rows, *_ in sweep(n):

@@ -25,6 +25,9 @@ from .errors import (
 # 3.11, and the time grows about tenfold per doubling of r.
 MAX_LIFT_OFFSET = 80
 
+# Largest order of the St(n, k) triangle; output size, not time, limits it.
+MAX_ST_ORDER = 30
+
 
 @dataclass(frozen=True)
 class RationalPolynomial:
@@ -174,8 +177,9 @@ def lift_families(max_r: int) -> dict[int, StOffsetFamily]:
 def sequence_table(max_n: int) -> tuple[CountTable, CountTable]:
     """The St(n, k) triangle for 0 <= k <= n <= max_n, plus the g(n, 1)
     column (permutations with at least one strong fixed point)."""
-    if max_n > 30:
-        raise IndexOutOfRange(f"recursion table capped at n = 30, got {max_n}")
+    if max_n > MAX_ST_ORDER:
+        raise IndexOutOfRange(
+            f"recursion table capped at n = {MAX_ST_ORDER}, got {max_n}")
     triangle = CountTable(kind="f1t")
     column = CountTable(kind="g1")
     for n, row in enumerate(f1_triangle(max_n)):

@@ -244,6 +244,7 @@ def test_out_of_range_sizes_and_jobs_are_usage_errors(capsys, argv):
     ("count", "d", "--n", "96", "--k", "2"),
     ("count", "d", "--n", "5", "--k", "96"),
     ("verify", "--max-n", "9"),
+    ("seq", "st", "--max-n", "31"),
 ]))
 def test_sizes_above_the_caps_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -266,6 +267,7 @@ def test_the_caps_themselves_are_accepted_and_printable():
                  ["count", "pair", "--n", cap, "--u", "1", "--v", "2"],
                  ["count", "efficient", "--n", cap, "--set", "1"],
                  ["count", "d", "--n", d_cap, "--k", d_cap],
+                 ["seq", "st", "--max-n", str(sequences.MAX_ST_ORDER)],
                  ["seq", "lift", "--r", str(sequences.MAX_LIFT_OFFSET)],
                  ["verify", "--max-n", str(verify.MAX_N)]):
         build_parser().parse_args(argv)
@@ -286,9 +288,13 @@ def test_removed_duplicate_commands_are_usage_errors(capsys, argv):
 
 
 def test_tally_output_is_identical_across_jobs(capsys):
-    outputs = {run(capsys, "oracle", "tally", "--n", "5", "--jobs", j)[1]
-               for j in ("1", "2")}
-    assert len(outputs) == 1
+    # Runs the real process pool: every --jobs prints the same bytes.
+    cases = [(("oracle", "tally", "--n", n), ("1", "2", "3"))
+             for n in ("1", "2", "7")]
+    cases.append((("verify", "--max-n", "5"), ("1", "2")))
+    for argv, jobs in cases:
+        outputs = {run(capsys, *argv, "--jobs", j)[1] for j in jobs}
+        assert len(outputs) == 1 and outputs != {""}
 
 
 @pytest.mark.parametrize("value", ["-3", "0", "nine"])

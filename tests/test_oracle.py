@@ -1,25 +1,27 @@
 from collections import Counter
+from itertools import permutations
 from math import factorial
 
 import pytest
 
 from permdom.errors import OrderCapExceeded
 from permdom.oracle import (
+    _tally_chunk,
+    efficient_tallies,
     full_tally,
     heuristic_quality,
     iter_permutations,
-    pair_tally,
-    efficient_tally,
-    rank_permutation,
+    pair_tallies,
     singleton_domination_tally,
+    sweep,
 )
 
 
-def test_rank_permutation_is_lexicographic():
-    for n in (1, 3, 4):
-        ranked = [rank_permutation(n, r).image for r in range(factorial(n))]
-        assert ranked == sorted(ranked)
-        assert ranked == [p.image for p in iter_permutations(n)]
+def test_sweep_is_lexicographic():
+    for n in range(7):
+        expected = list(permutations(range(1, n + 1)))
+        assert [p.image for p in iter_permutations(n)] == expected
+        assert [image for image, *_ in sweep(n)] == expected
 
 
 def test_full_tally_hand_enumerations():
@@ -62,15 +64,15 @@ def test_order_cap():
 
 
 def test_pair_tally_examples():
-    assert pair_tally(3, 1, 3) == (2, 3)
-    assert pair_tally(2, 1, 2) == (1, 1)
-    assert pair_tally(3, 2, 3) == (2, 2)
+    assert pair_tallies(3, [(1, 3)]) == {(1, 3): (2, 3)}
+    assert pair_tallies(2, [(1, 2)]) == {(1, 2): (1, 1)}
+    assert pair_tallies(3, [(2, 3)]) == {(2, 3): (2, 2)}
 
 
 def test_efficient_tally_examples():
-    assert efficient_tally(4, [1, 4]) == 6
-    assert efficient_tally(3, [1, 2, 3]) == 1
-    assert efficient_tally(4, [1, 2, 3, 4]) == 1
+    assert efficient_tallies(4, [(1, 4)]) == {(1, 4): 6}
+    assert efficient_tallies(3, [(1, 2, 3)]) == {(1, 2, 3): 1}
+    assert efficient_tallies(4, [(1, 2, 3, 4)]) == {(1, 2, 3, 4): 1}
 
 
 def test_singleton_domination_tally_matches_formula():
@@ -98,16 +100,17 @@ def test_sweep_matches_graphs_built_from_scratch():
         domination_number_exact,
     )
     from permdom.graph import build_graph, is_connected, is_connected_search
-    from permdom.oracle import sweep
-    from permdom.perm import strong_fixed_points
+    from permdom.perm import Permutation, strong_fixed_points
 
     for n in range(1, 8):
         full = (1 << n) - 1
         visits = list(sweep(n))
         assert len(visits) == factorial(n)
-        for rank, (image, rows, connected, strong, singles) in enumerate(visits):
-            p = rank_permutation(n, rank)
-            assert image == p.image
+        for expected, visit in zip(permutations(range(1, n + 1)), visits,
+                                   strict=True):
+            image, rows, connected, strong, singles = visit
+            assert image == expected
+            p = Permutation(image)
             g = build_graph(p)
             assert rows == g.closed_rows()
             assert connected == is_connected(g) == is_connected_search(g)
@@ -117,24 +120,20 @@ def test_sweep_matches_graphs_built_from_scratch():
             assert len(_minimum_cover(rows, full)) == gamma
 
 
-def test_sweep_rank_ranges_concatenate_to_the_whole_sweep():
-    import random
-
-    from permdom.oracle import _tally_chunk, sweep
-
-    rng = random.Random(7)
+def test_sweep_leads_concatenate_to_the_whole_sweep():
     for n in (4, 5, 6):
-        total = factorial(n)
         whole = list(sweep(n))
-        for _ in range(20):
-            cuts = sorted(rng.sample(range(1, total), rng.randint(1, 6)))
-            bounds = [0] + cuts + [total]
-            spans = list(zip(bounds, bounds[1:]))
-            assert [v for a, b in spans for v in sweep(n, a, b)] == whole
-            merged = sum((_tally_chunk((n, a, b)) for a, b in spans), Counter())
-            assert merged == _tally_chunk((n, 0, total))
-        assert list(sweep(n, 5, 5)) == list(sweep(n, 9, 3)) == []
-        assert list(sweep(n, total - 2, total + 10)) == whole[-2:]
+        for length in (1, 2):
+            leads = list(permutations(range(1, n + 1), length))
+            assert [v for lead in leads for v in sweep(n, lead)] == whole
+            merged = sum((_tally_chunk((n, lead)) for lead in leads), Counter())
+            assert merged == _tally_chunk((n, ()))
+
+
+def test_sweep_of_an_impossible_lead_is_empty():
+    for lead in ((1, 1), (2, 3, 2), (5,), (1, 6)):
+        assert list(sweep(4, lead)) == []
+    assert [image for image, *_ in sweep(4, (2, 4, 1, 3))] == [(2, 4, 1, 3)]
 
 
 class SerialPool:
@@ -187,13 +186,12 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
 
 
 def test_pair_and_efficient_tallies_validate_their_sets():
-    from permdom.errors import VertexOutOfRange
-    from permdom.oracle import efficient_tallies, pair_tallies
+    from permdom.errors import IndexOutOfRange, VertexOutOfRange
 
     assert pair_tallies(3, [(1, 3), (2, 3)]) == {(1, 3): (2, 3), (2, 3): (2, 2)}
     assert efficient_tallies(4, [(1, 4), (1, 2, 3, 4)]) == {
         (1, 4): 6, (1, 2, 3, 4): 1}
-    with pytest.raises(OrderCapExceeded):
-        pair_tally(3, 3, 1)
+    with pytest.raises(IndexOutOfRange, match="need 1 <= u < v <= n"):
+        pair_tallies(3, [(1, 2), (3, 1)])
     with pytest.raises(VertexOutOfRange):
-        efficient_tally(3, [1, 4])
+        efficient_tallies(3, [(1, 4)])
