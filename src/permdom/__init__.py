@@ -29,6 +29,7 @@ from .domination import (
     NeighborClassification,
     all_minimum_dominating_sets,
     classify_neighbors,
+    count_minimum_dominating_sets,
     count_singleton_dominators,
     domination_number_exact,
     heuristic_dominating_set,

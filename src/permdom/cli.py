@@ -2,9 +2,10 @@
 
 Subcommands: analyze, count, construct, oracle, seq, verify.  Output is
 JSON by default (schema field 1, big counts as decimal strings, fixed key
-order) or CSV with a header row; identical argv produces byte-identical
-stdout.  Timing goes to stderr.  Exit codes: 0 ok, 1 domain error, 2 usage
-error, 3 verification mismatch.
+order, the bytes of `json.dumps(payload, indent=2)`) or CSV with a header
+row and RFC 4180 quoting; identical argv produces byte-identical stdout.
+Timing goes to stderr.  Exit codes: 0 ok, 1 domain error, 2 usage error,
+3 verification mismatch.
 """
 from __future__ import annotations
 
@@ -12,10 +13,11 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import constructions, counting, oracle, sequences, verify
 from .domination import (
-    all_minimum_dominating_sets,
+    count_minimum_dominating_sets,
     count_singleton_dominators,
     domination_number_exact,
     heuristic_dominating_set,
@@ -58,8 +60,48 @@ def _bounded_int(low: int, high: int | None = None):
     return parse
 
 
+def _json_text(value, indent: str = "") -> str:
+    """`value` in the bytes `json.dumps(value, indent=2)` gives, placed at
+    nesting `indent`.  Written by hand because with `indent` set, `json`
+    leaves its C encoder for a pure-Python one, which took a third of an
+    `analyze` request.  Str-keyed dicts, lists, str, int, bool and None are
+    written here; anything else goes to `json.dumps`, re-indented (its
+    newlines are all structural: strings escape theirs)."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        for v in value:
+            if type(v) is not int:  # a bool is not an int here
+                body = sep.join([_json_text(v, inner) for v in value])
+                break
+        else:
+            body = sep.join(map(str, value))
+        return f"[\n{inner}{body}\n{indent}]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = f",\n{inner}".join([f"{_quote(k)}: {_json_text(v, inner)}"
+                                   for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = _json_text(payload)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -67,10 +109,19 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _csv_field(text: str) -> str:
+    """One CSV field, quoted as RFC 4180 asks when it holds a comma, a
+    quote or a line break (an index such as "3,1" does)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit_rows(rows, fmt: str, out: str | None, payload_key: str) -> None:
     """rows: list of (index, value) with values already stringified."""
     if fmt == "csv":
-        lines = ["index,value"] + [f"{i},{v}" for i, v in rows]
+        lines = ["index,value"] + [f"{_csv_field(str(i))},{_csv_field(v)}"
+                                   for i, v in rows]
         text = "\n".join(lines)
         if out:
             with open(out, "w") as fh:
@@ -101,7 +152,7 @@ def cmd_analyze(args) -> int:
         "degrees": list(g.degrees()),
         "gamma": result.gamma,
         "witness": sorted(result.witness),
-        "all_minimum_sets_count": len(all_minimum_dominating_sets(g)),
+        "all_minimum_sets_count": count_minimum_dominating_sets(g),
         "singleton_dominators": count_singleton_dominators(g),
         "connected": is_connected(g),
         "strong_fixed_points_of_reverse": len(strong_fixed_points(reverse(p))),

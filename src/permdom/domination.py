@@ -154,6 +154,12 @@ def all_minimum_dominating_sets(g: PermutationGraph) -> list[frozenset[int]]:
             for combo in _minimum_covers(g.closed_rows(), g.full_mask())]
 
 
+def count_minimum_dominating_sets(g: PermutationGraph) -> int:
+    """Number of dominating sets of minimum size, counted as index tuples
+    without building a vertex set for each."""
+    return len(_minimum_covers(g.closed_rows(), g.full_mask()))
+
+
 def count_singleton_dominators(g: PermutationGraph) -> int:
     """Number of k for which {k} dominates, by the direct N[k] check."""
     full = g.full_mask()

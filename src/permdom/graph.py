@@ -96,13 +96,17 @@ def build_graph(p: Permutation) -> PermutationGraph:
     n = p.n
     if n > MAX_GRAPH_ORDER:
         raise OrderTooLarge(f"n = {n} exceeds the {MAX_GRAPH_ORDER}-vertex cap")
+    pos = p._positions  # pos[v - 1] = position of value v
     rows = [0] * n
-    for i in range(1, n + 1):
-        pi = p.position(i)
-        for j in range(i + 1, n + 1):
-            if pi > p.position(j):
-                rows[i - 1] |= 1 << (j - 1)
-                rows[j - 1] |= 1 << (i - 1)
+    for i in range(n):
+        pi = pos[i]
+        bit = 1 << i
+        row = rows[i]
+        for j in range(i + 1, n):
+            if pi > pos[j]:
+                row |= 1 << j
+                rows[j] |= bit
+        rows[i] = row
     return PermutationGraph(n=n, rows=tuple(rows), source=p)
 
 

@@ -9,6 +9,7 @@ from permdom.domination import (
     _minimum_cover,
     all_minimum_dominating_sets,
     classify_neighbors,
+    count_minimum_dominating_sets,
     count_singleton_dominators,
     domination_number_exact,
     heuristic_dominating_set,
@@ -62,6 +63,7 @@ def assert_matches_plain_enumeration(g):
     expected = minimum_sets_by_plain_enumeration(g)
     assert sorted(domination_number_exact(g).witness) == sorted(expected[0])
     assert all_minimum_dominating_sets(g) == expected
+    assert count_minimum_dominating_sets(g) == len(expected)
 
 
 def test_is_dominating_examples():
@@ -126,7 +128,7 @@ def test_comb_minimum_sets_pick_one_end_of_every_tooth(build, n):
     g = build_graph(build(n))
     sets = all_minimum_dominating_sets(g)
     assert domination_number_exact(g).gamma == n // 2
-    assert len(sets) == 2 ** (n // 2)
+    assert count_minimum_dominating_sets(g) == len(sets) == 2 ** (n // 2)
     pairs = is_comb(g).matching.items()
     assert set(sets) == {frozenset(pick) for pick in product(*pairs)}
 

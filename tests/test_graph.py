@@ -1,6 +1,8 @@
 from itertools import permutations as perms
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permdom.errors import OrderTooLarge, VertexOutOfRange
 from permdom.graph import (
@@ -43,6 +45,21 @@ def test_edges_are_exactly_the_inversions():
             if p.position(i) > p.position(j)
         }
         assert set(g.edges()) == inversions
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 64).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))))
+def test_edges_are_exactly_the_inversions_up_to_64(image):
+    # Inversions read off the one-line notation: the values at positions
+    # a < b form an edge when the larger one comes first.
+    inversions = sorted(
+        (image[b], image[a])
+        for a in range(len(image))
+        for b in range(a + 1, len(image))
+        if image[a] > image[b]
+    )
+    assert build_graph(Permutation(tuple(image))).edges() == inversions
 
 
 def test_order_cap():

@@ -49,7 +49,10 @@ def test_tally_internal_identities(n):
     assert t.st == t.f1  # strong fixed points vs singleton dominators
 
 
-def test_tally_is_deterministic_across_worker_counts():
+def test_tally_is_deterministic_across_worker_counts(monkeypatch):
+    from permdom import oracle
+
+    monkeypatch.setattr(oracle, "POOL_MIN_ORDER", 1)  # a real pool at n = 5
     single = full_tally(5, jobs=1)
     split = full_tally(5, jobs=3)
     assert (single.g, single.c, single.d, single.f1, single.st) == (
@@ -162,6 +165,7 @@ def test_tally_is_identical_for_every_chunking(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(oracle, "_process_pool",
                         lambda count: SerialPool(workers, count))
+    monkeypatch.setattr(oracle, "POOL_MIN_ORDER", 1)
     reports = [full_tally(6, jobs=j) for j in (1, 2, 3, 7)]
     assert workers == [2, 3, 7]
     first = reports[0]
@@ -179,10 +183,27 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(oracle, "_process_pool",
                         lambda count: SerialPool(workers, count))
+    monkeypatch.setattr(oracle, "POOL_MIN_ORDER", 1)
     big = full_tally(4, jobs=10**6)
     assert workers == [2]
     assert big.g == full_tally(4, jobs=0).g == full_tally(4).g
     assert workers == [2]  # jobs <= 1 runs in this process
+
+
+def test_orders_below_the_pool_threshold_sweep_in_process(monkeypatch):
+    import os
+
+    from permdom import oracle
+
+    workers = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oracle, "_process_pool",
+                        lambda count: SerialPool(workers, count))
+    for n in range(1, oracle.POOL_MIN_ORDER):
+        full_tally(n, jobs=2)
+    assert workers == []
+    full_tally(oracle.POOL_MIN_ORDER, jobs=2)
+    assert workers == [2]
 
 
 def test_pair_and_efficient_tallies_validate_their_sets():
