@@ -661,6 +661,35 @@ def test_heuristic_golden_stdout_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _tally_corpus():
+    return ([("oracle", "tally", "--n", str(n), "--jobs", "1") for n in range(1, 9)]
+            + [("oracle", "tally", "--n", "9", "--jobs", "2")])
+
+
+# SHA-256 of stdout for each argv of _tally_corpus, in order, recorded with
+# the sweep that searched gamma per permutation by the pruned cover search.
+# The last row runs S_9 through the process pool.
+TALLY_GOLDEN_DIGESTS = """
+284f17ba6ada631d261d318289f0845ed4116b0169a7aaa08e71c608e976d1c7
+aa4949673bd2ac6985c805b57593bda6ffba19ef67c974f3f485036d01f91609
+f5321db62438501844c8bb932accea87a0c27e1d52ced311299df623568cdefa
+0e60c37ecd4f281de62b2fc7363c460dc06b5f6fb9887c31a9225e210cade4fb
+610c327614adec106f3f723e04229fa4442309b38351466e7b2208689a030435
+3531728d758fe91588557ccdb9c7b080eb779cfe5b120401d9ff1c9fbd8bb8c5
+33d8c9bc1bfc4a984b9056533eeec5787ad324939f7a77554b1408a8471c2fe3
+a14577bfc33501da36a2cd2ec3f0af0f87c6705870b6b2aaf9f200470bea67e6
+7002206b884546871ff65c39342d89bcb2622598e6cc7b01c566aa1a012d8685
+""".split()
+
+
+@pytest.mark.parametrize(
+    "argv,digest", list(zip(_tally_corpus(), TALLY_GOLDEN_DIGESTS, strict=True)))
+def test_tally_golden_stdout_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch, tmp_path):
     from permdom import cli
 
