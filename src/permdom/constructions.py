@@ -145,7 +145,9 @@ def extend_preserving_gamma(p: Permutation) -> Permutation:
 
 def connected_with_gamma(n: int, k: int) -> Permutation:
     """A permutation of order n whose graph is connected with domination
-    number exactly k, for 1 <= k <= floor(n/2).
+    number exactly k, for 1 <= k <= floor(n/2), and k = 1 when n = 1: the
+    bound gamma <= n/2 on connected graphs holds only from n = 2 on, and
+    the one-vertex graph is connected with gamma 1.
 
     Base cases: the all-inverted permutation for k = 1, the 4-vertex path
     for k = 2, and the sigma comb on 2k vertices for k >= 3; then repeated
@@ -153,7 +155,7 @@ def connected_with_gamma(n: int, k: int) -> Permutation:
     """
     if n > MAX_GRAPH_ORDER:
         raise OrderTooLarge(f"n = {n} exceeds the {MAX_GRAPH_ORDER}-vertex cap")
-    if k < 1 or k > n // 2:
+    if not 1 <= k <= (n // 2 if n >= 2 else n):
         raise InfeasibleGamma(f"no connected graph on {n} vertices has gamma {k}")
     if k == 1:
         return decreasing(n)

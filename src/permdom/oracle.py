@@ -8,6 +8,14 @@ connectivity, strong fixed points and singleton dominators in O(1) per
 placed value, instead of building every graph from scratch.  Every S_n loop
 in this module and in `verify` runs on it.
 
+The sweep also sieves the 2^n vertex subsets: it carries a 2^n-bit mask
+whose bit T is set while subset T meets every closed neighborhood placed so
+far, and ands in one precomputed mask per placed value.  At a leaf the mask
+holds exactly the dominating sets, so gamma is the size of its smallest
+member.  Every subset is tested and none is skipped, which makes the sieve
+exhaustive ground truth; the pruned search in `domination`, which
+`analyze` needs beyond the oracle's orders, is its differential oracle.
+
 A sweep can be restricted to the permutations that begin with given
 values.  Parallel tallies sweep one subtree per ordered pair of leading
 values; the subtrees' tallies merge by addition, so any worker count
@@ -19,11 +27,11 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 
 from .counting import CountTable, _check_pair
 from .domination import (
-    _minimum_cover,
     heuristic_dominating_set,
     is_dominating,
     quick_rule_position_ends,
@@ -60,15 +68,73 @@ def _check_cap(n: int, cap: int) -> None:
         raise OrderCapExceeded(f"n = {n} outside the enumeration cap [1, {cap}]")
 
 
+@lru_cache(maxsize=None)
+def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(meet, size) for the sieve over the vertex subsets of [n], subset T
+    being bit T of a 2^n-bit mask: meet[S] has bit T set when T meets S,
+    and size[k] when T has k members.
+
+    Each table takes O(2^n) big-int operations.  With `low` the lowest
+    member of S, meet[S] = meet[S ^ low] | contains[low], where
+    contains[i] is periodic: the subsets holding element i are the blocks
+    [2^i, 2^(i+1)) modulo 2^(i+1).  Subsets of [i+1] that hold element i
+    are those of [i] shifted up by 2^i, so size grows by
+    size[k] | size[k-1] << 2^i.  Built on first use, never at import.
+    """
+    every = (1 << (1 << n)) - 1
+    contains = []
+    for i in range(n):
+        block = 1 << i
+        repeat = every // ((1 << 2 * block) - 1)  # one bit every 2^(i+1)
+        contains.append(repeat * (((1 << block) - 1) << block))
+    meet = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        meet[s] = meet[s ^ low] | contains[low.bit_length() - 1]
+    size = [1]  # subsets of [0]: the empty set, index 0
+    for i in range(n):
+        shift = 1 << i
+        size = ([size[0]]
+                + [size[k] | size[k - 1] << shift for k in range(1, i + 1)]
+                + [size[i] << shift])
+    return tuple(meet), tuple(size)
+
+
+@lru_cache(maxsize=None)
+def _meet_once_table(n: int) -> tuple[int, ...]:
+    """once[S] has bit T set when the vertex subset T meets S in exactly
+    one member.  With `low` the lowest member of S, T meets S once when it
+    meets S ^ low once and misses low, or holds low and misses S ^ low;
+    meet[low] is the mask of the subsets that hold low."""
+    meet, _ = _subset_tables(n)
+    once = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        once[s] = once[rest] & ~meet[low] | meet[low] & ~meet[rest]
+    return tuple(once)
+
+
+def _gamma(dom: int, size: tuple[int, ...]) -> int:
+    """The size of the smallest subset in the sieve mask `dom`: the
+    domination number when `dom` comes from a sweep leaf."""
+    for k, mask in enumerate(size):
+        if dom & mask:
+            return k
+    raise AssertionError("every graph is dominated by its full vertex set")
+
+
 def sweep(n: int, lead=()):
     """Every permutation of [n] that begins with the values in `lead`, in
     lexicographic order, with the facts the oracle tallies.
 
-    Yields (image, rows, connected, strong, singles): the one-line notation,
-    the closed neighborhoods (rows[v-1] = N[v] as a bitmask), whether the
-    graph is connected, the number of strong fixed points and the number of
-    singleton dominators.  A lead that repeats a value or names one above n
-    yields nothing.
+    Yields (image, rows, connected, strong, singles, dom): the one-line
+    notation, the closed neighborhoods (rows[v-1] = N[v] as a bitmask),
+    whether the graph is connected, the number of strong fixed points, the
+    number of singleton dominators, and the dominating sets as a 2^n-bit
+    mask (bit T is set when the vertex subset T dominates; vertex v is bit
+    v-1 of T).  A lead that repeats a value or names one above n yields
+    nothing.
 
     Values are placed one position at a time.  When v is placed after the
     prefix set P, N[v] is already final: smaller values are neighbors
@@ -76,16 +142,20 @@ def sweep(n: int, lead=()):
     earlier, so N[v] = P ^ ((1 << v) - 1).  {v} dominates when that row is
     full; the graph is disconnected when some proper prefix is {1..k}; and
     position k holds a strong fixed point when v == k and the prefix before
-    it is {1..k-1}.
+    it is {1..k-1}.  Since the row is final, the sieve mask is cut to the
+    subsets that meet it, dom &= meet[N[v]], and after the last value it
+    holds the subsets that meet every closed neighborhood.
     """
     if n == 0:
-        yield (), (), True, 0, 0
+        yield (), (), True, 0, 0, 1  # the empty set dominates the empty graph
         return
+    _check_cap(n, HARD_CAP)  # the sieve tables hold 2^n masks of 2^n bits
+    meet, _ = _subset_tables(n)
     full = (1 << n) - 1
     image = [0] * n
     rows = [0] * n
 
-    def place(d, prefix, disconnected, strong, singles):
+    def place(d, prefix, disconnected, strong, singles, dom):
         low = (1 << d) - 1
         split = (low << 1) | 1
         free = full ^ prefix
@@ -100,15 +170,17 @@ def sweep(n: int, lead=()):
             rows[v - 1] = row
             strong_now = strong + (prefix == low and bit == low + 1)
             singles_now = singles + (row == full)
+            dom_now = dom & meet[row]
             if d + 1 == n:
                 yield (tuple(image), tuple(rows), not disconnected,
-                       strong_now, singles_now)
+                       strong_now, singles_now, dom_now)
             else:
                 yield from place(d + 1, prefix | bit,
                                  disconnected or prefix | bit == split,
-                                 strong_now, singles_now)
+                                 strong_now, singles_now, dom_now)
 
-    yield from place(0, 0, False, 0, 0)
+    every = (1 << (1 << n)) - 1  # all 2^n subsets, before any row is placed
+    yield from place(0, 0, False, 0, 0, every)
 
 
 def iter_permutations(n: int):
@@ -120,10 +192,10 @@ def _tally_chunk(args) -> Counter:
     """(gamma, connected, singleton dominators, strong fixed points) ->
     number of permutations, over the ones that begin with `lead`."""
     n, lead = args
-    full = (1 << n) - 1
+    _, size = _subset_tables(n)
     return Counter(
-        (len(_minimum_cover(rows, full)), connected, singles, strong)
-        for _, rows, connected, strong, singles in sweep(n, lead)
+        (_gamma(dom, size), connected, singles, strong)
+        for _, _, connected, strong, singles, dom in sweep(n, lead)
     )
 
 
@@ -204,26 +276,38 @@ def pair_tallies(n: int, pairs) -> dict:
 def efficient_tallies(n: int, sets) -> dict:
     """Vertex tuple -> number of permutations whose graph is efficiently
     dominated by it (closed neighborhoods partition the vertices), for every
-    tuple in `sets`, in one sweep."""
+    tuple in `sets`, in one sweep.
+
+    A vertex set dominates efficiently exactly when every closed
+    neighborhood meets it in one vertex, so each permutation's efficient
+    sets are the and of `_meet_once_table` over its rows: a sieve of all
+    2^n subsets, which costs n big-int ands whatever the number of tuples.
+    A tuple that repeats a vertex is never efficient."""
     _check_cap(n, DEFAULT_CAP)
     sets = [tuple(a) for a in sets]
     for a in sets:
         for v in a:
             if not 1 <= v <= n:
                 raise VertexOutOfRange(f"vertex {v} not in [1, {n}]")
-    full = (1 << n) - 1
     counts = dict.fromkeys(sets, 0)
+    by_subset: dict[int, list] = {}  # vertex subset -> the tuples listing it
+    for a in counts:
+        subset = 0
+        for v in a:
+            subset |= 1 << (v - 1)
+        if subset.bit_count() == len(a):
+            by_subset.setdefault(subset, []).append(a)
+    wanted = sum(1 << subset for subset in by_subset)
+    once = _meet_once_table(n)
     for _, rows, *_ in sweep(n):
-        for a in counts:
-            cover = 0
-            for v in a:
-                row = rows[v - 1]
-                if cover & row:
-                    break
-                cover |= row
-            else:
-                if cover == full:
-                    counts[a] += 1
+        hits = wanted
+        for row in rows:
+            hits &= once[row]
+        while hits:
+            bit = hits & -hits
+            hits ^= bit
+            for a in by_subset[bit.bit_length() - 1]:
+                counts[a] += 1
     return counts
 
 
@@ -233,7 +317,7 @@ def singleton_domination_tally(n: int) -> dict[int, int]:
     _check_cap(n, DEFAULT_CAP)
     full = (1 << n) - 1
     counts = Counter()
-    for _, rows, _, _, singles in sweep(n):
+    for _, rows, _, _, singles, _ in sweep(n):
         if singles:
             counts.update(k for k, row in enumerate(rows, start=1) if row == full)
     return dict(sorted(counts.items()))
@@ -243,11 +327,11 @@ def connected_gamma_permutations(n: int, k: int):
     """All permutations of [n] with a connected graph of domination number
     k, in lexicographic order."""
     _check_cap(n, DEFAULT_CAP)
-    full = (1 << n) - 1
+    _, size = _subset_tables(n)
     return [
         Permutation(image)
-        for image, rows, connected, _, _ in sweep(n)
-        if connected and len(_minimum_cover(rows, full)) == k
+        for image, _, connected, _, _, dom in sweep(n)
+        if connected and _gamma(dom, size) == k
     ]
 
 
@@ -272,9 +356,9 @@ def heuristic_quality(n: int) -> HeuristicQuality:
     size.  Every heuristic output is also asserted to dominate.
     """
     _check_cap(n, 8)
-    full = (1 << n) - 1
+    _, size = _subset_tables(n)
     total = excluded = optimal = 0
-    for image, rows, *_ in sweep(n):
+    for image, rows, *_, dom in sweep(n):
         total += 1
         p = Permutation(image)
         open_rows = tuple(row ^ (1 << i) for i, row in enumerate(rows))
@@ -284,6 +368,6 @@ def heuristic_quality(n: int) -> HeuristicQuality:
         if quick_rule_value_ends(p) or quick_rule_position_ends(p):
             excluded += 1
             continue
-        if result.gamma == len(_minimum_cover(rows, full)):
+        if result.gamma == _gamma(dom, size):
             optimal += 1
     return HeuristicQuality(total=total, excluded=excluded, optimal=optimal)

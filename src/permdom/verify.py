@@ -294,7 +294,7 @@ def check_invariant_suite(max_n: int) -> CheckResult:
     incremental facts against the graph built from scratch, exhaustively."""
     bad = []
     for n in range(1, max_n + 1):
-        for image, rows, connected, strong, singles in oracle.sweep(n):
+        for image, rows, connected, strong, singles, _ in oracle.sweep(n):
             p = Permutation(image)
             g = build_graph(p)
             if not degree_bound_check(g):

@@ -141,6 +141,15 @@ def test_construct_gamma(capsys):
     assert payload["connected"] is True
 
 
+def test_construct_gamma_on_one_vertex(capsys):
+    # gamma <= n/2 holds from n = 2 on; the one-vertex graph has gamma 1.
+    payload = run_json(capsys, "construct", "gamma", "--n", "1", "--k", "1")
+    assert payload["perm"] == "1"
+    assert payload["gamma"] == 1 and payload["connected"] is True
+    report = run_json(capsys, "analyze", "1")
+    assert (report["gamma"], report["connected"]) == (1, True)
+
+
 def test_construct_extend(capsys):
     payload = run_json(capsys, "construct", "extend", "--perm", "3,1,4,2")
     assert payload["input"]["gamma"] == payload["result"]["gamma"] == 2

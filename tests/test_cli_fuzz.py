@@ -13,7 +13,7 @@ import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permdom.cli import main
@@ -114,6 +114,7 @@ def assert_parses(out: str) -> None:
 
 @settings(max_examples=400, deadline=None)
 @given(argvs())
+@example(["construct", "gamma", "--n", "1", "--k", "1"]).via("one vertex, gamma 1")
 def test_generated_argv_gets_an_answer_or_a_typed_error(argv):
     code, out, err, elapsed = call(argv)
     assert code in (0, 1, 2, 3), (code, err)

@@ -122,10 +122,10 @@ def test_extend_preserves_gamma_on_random_connected_inputs():
 def test_connected_with_gamma_examples():
     assert connected_with_gamma(5, 2).image == (3, 1, 4, 5, 2)
     assert connected_with_gamma(6, 3).image == (3, 1, 4, 6, 2, 5)
-    with pytest.raises(InfeasibleGamma):
-        connected_with_gamma(5, 3)
-    with pytest.raises(InfeasibleGamma):
-        connected_with_gamma(4, 0)
+    assert connected_with_gamma(1, 1).image == (1,)  # gamma <= n/2 needs n >= 2
+    for n, k in ((5, 3), (4, 0), (1, 0), (1, 2), (0, 1), (0, 0)):
+        with pytest.raises(InfeasibleGamma):
+            connected_with_gamma(n, k)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -134,9 +134,9 @@ def test_connected_with_gamma_rejects_orders_above_the_cap_up_front(k):
         connected_with_gamma(200, k)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_connected_with_gamma_full_grid(n):
-    for k in range(1, n // 2 + 1):
+    for k in range(1, max(1, n // 2) + 1):
         p = connected_with_gamma(n, k)
         g = build_graph(p)
         assert p.n == n

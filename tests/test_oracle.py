@@ -6,6 +6,9 @@ import pytest
 
 from permdom.errors import OrderCapExceeded
 from permdom.oracle import (
+    _gamma,
+    _meet_once_table,
+    _subset_tables,
     _tally_chunk,
     efficient_tallies,
     full_tally,
@@ -78,6 +81,33 @@ def test_efficient_tally_examples():
     assert efficient_tallies(4, [(1, 2, 3, 4)]) == {(1, 2, 3, 4): 1}
 
 
+def test_efficient_tallies_match_the_member_by_member_check():
+    from itertools import combinations, product
+
+    from permdom.domination import is_efficient_dominating
+    from permdom.graph import build_graph
+    from permdom.perm import Permutation
+
+    for n in range(1, 7):
+        tuples = [a for size in range(4)
+                  for a in product(range(1, n + 1), repeat=size)]
+        tuples += [a for size in range(4, n + 1)
+                   for a in combinations(range(1, n + 1), size)]
+        expected = Counter()
+        for image in permutations(range(1, n + 1)):
+            g = build_graph(Permutation(image))
+            expected.update(a for a in tuples if is_efficient_dominating(g, a))
+        assert efficient_tallies(n, tuples) == {a: expected[a] for a in tuples}
+
+
+def test_meet_once_table_by_definition():
+    for n in range(6):
+        once = _meet_once_table(n)
+        for s in range(1 << n):
+            assert once[s] == sum(1 << t for t in range(1 << n)
+                                  if (s & t).bit_count() == 1)
+
+
 def test_singleton_domination_tally_matches_formula():
     from permdom.counting import singleton_dom_count
 
@@ -99,19 +129,27 @@ def test_heuristic_quality_small():
 def test_sweep_matches_graphs_built_from_scratch():
     from permdom.domination import (
         _minimum_cover,
+        count_minimum_dominating_sets,
         count_singleton_dominators,
         domination_number_exact,
+        is_dominating,
     )
-    from permdom.graph import build_graph, is_connected, is_connected_search
+    from permdom.graph import (
+        build_graph,
+        is_connected,
+        is_connected_search,
+        vertices_of,
+    )
     from permdom.perm import Permutation, strong_fixed_points
 
     for n in range(1, 8):
         full = (1 << n) - 1
+        _, size = _subset_tables(n)
         visits = list(sweep(n))
         assert len(visits) == factorial(n)
         for expected, visit in zip(permutations(range(1, n + 1)), visits,
                                    strict=True):
-            image, rows, connected, strong, singles = visit
+            image, rows, connected, strong, singles, dom = visit
             assert image == expected
             p = Permutation(image)
             g = build_graph(p)
@@ -121,13 +159,62 @@ def test_sweep_matches_graphs_built_from_scratch():
             assert singles == count_singleton_dominators(g)
             gamma = domination_number_exact(g).gamma
             assert len(_minimum_cover(rows, full)) == gamma
+            # The sieve against the pruned search.
+            assert _gamma(dom, size) == gamma
+            assert (dom & size[gamma]).bit_count() == (
+                count_minimum_dominating_sets(g))
+            for k in range(gamma, n + 1):
+                first = dom & size[k] & -(dom & size[k])
+                assert is_dominating(g, vertices_of(first.bit_length() - 1))
+
+
+def test_sieve_mask_is_exactly_the_dominating_sets():
+    from permdom.domination import is_dominating
+    from permdom.graph import build_graph, vertices_of
+    from permdom.perm import Permutation
+
+    for n in range(1, 7):
+        for image, *_, dom in sweep(n):
+            g = build_graph(Permutation(image))
+            assert dom == sum(1 << t for t in range(1 << n)
+                              if is_dominating(g, vertices_of(t)))
+
+
+def test_subset_tables_by_definition():
+    for n in range(6):
+        meet, size = _subset_tables(n)
+        assert len(meet) == 1 << n and len(size) == n + 1
+        for s in range(1 << n):
+            assert meet[s] == sum(1 << t for t in range(1 << n) if s & t)
+        for k in range(n + 1):
+            assert size[k] == sum(1 << t for t in range(1 << n)
+                                  if t.bit_count() == k)
+
+
+def test_sieve_on_the_smallest_orders():
+    assert _subset_tables(0) == ((0,), (1,))
+    assert list(sweep(0)) == [((), (), True, 0, 0, 1)]
+    assert _subset_tables(1) == ((0, 0b10), (0b1, 0b10))
+    # One vertex: of the subsets {} and {1}, only {1} dominates.
+    assert list(sweep(1)) == [((1,), (1,), True, 1, 1, 0b10)]
+    assert _gamma(0b10, _subset_tables(1)[1]) == 1
+
+
+def test_sweep_above_the_hard_cap_fails_before_building_tables():
+    from permdom import oracle
+
+    built = oracle._subset_tables.cache_info().currsize
+    with pytest.raises(OrderCapExceeded):
+        next(sweep(oracle.HARD_CAP + 1))
+    assert oracle._subset_tables.cache_info().currsize == built
 
 
 def test_sweep_leads_concatenate_to_the_whole_sweep():
-    for n in (4, 5, 6):
+    for n in (4, 5, 6, 7):
         whole = list(sweep(n))
         for length in (1, 2):
             leads = list(permutations(range(1, n + 1), length))
+            # Every field matches, the sieve mask `dom` included.
             assert [v for lead in leads for v in sweep(n, lead)] == whole
             merged = sum((_tally_chunk((n, lead)) for lead in leads), Counter())
             assert merged == _tally_chunk((n, ()))
