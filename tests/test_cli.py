@@ -522,6 +522,30 @@ def test_count_golden_stdout_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+LIFT_OFFSETS = (13, 16, 20, 30, 40, 63, 80)
+
+# SHA-256 of `seq lift --r R` stdout for each R of LIFT_OFFSETS, in order,
+# recorded with the Fraction polynomial lifting (monomial shift and a
+# triangular rational solve).
+LIFT_GOLDEN_DIGESTS = """
+f9322a905fa9ff0caf9c4de974bbdc4b5f673ea18feb1dc06f9acb346225360c
+ed8a5882f1220474e46dc2691fddb912acae02d03585cd4340e349c36660693f
+d9155677a89e603dfdb48a5f84f30962aa60a4f77d5c0ff3166547b8f5fe7ea0
+fb11442f826213160b360f673decc13f6c182b57860f618db684b826d8d3d8ee
+838f669c71ea374c4376fba66b804052f03050ef583b58ce4a82476f16c379c4
+4ab13fa8a409523d6137a42efa6be9326776d6646c960539b79e30faab174266
+59bc311253313c2f855aa7386206ec5105e91e883871e0f7358b2dc4ec9ba984
+""".split()
+
+
+@pytest.mark.parametrize(
+    "r,digest", list(zip(LIFT_OFFSETS, LIFT_GOLDEN_DIGESTS, strict=True)))
+def test_lift_golden_stdout_digest(capsys, r, digest):
+    code, out, _ = run(capsys, "seq", "lift", "--r", str(r))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _d_verify_corpus():
     return (
         [("count", "d", "--n", str(n), "--k", str(k))
