@@ -2,15 +2,18 @@
 
 St(n, k) equals f(n, 1, k): reversing a permutation turns its strong fixed
 points into singleton dominators of the graph.  For fixed offset r the map
-k -> St(k+r, k) is a polynomial; `lift_polynomial` builds each offset's
-polynomial from the lower offsets using exact rational arithmetic (the
-offset-4 closed form has half-integer coefficients, so floats are out).
+k -> St(k+r, k) is an integer-valued polynomial, so it has integer
+coefficients a_i in the basis C(k, i), its Newton series (Graham, Knuth and
+Patashnik, Concrete Mathematics 5.3).  `lift_polynomial` builds each
+offset's a_i from the lower offsets by three integer recurrences (a shift, a
+right-hand side, a telescoping sum), then multiplies them out once into
+exact rationals: the offset-4 closed form has half-integer coefficients.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import factorial
 
 from .counting import CountTable, f0_column, f1, f1_triangle, g1_column
 from .errors import (
@@ -21,8 +24,8 @@ from .errors import (
 )
 
 # Largest offset the CLI lifts.  `lift_families` builds every family from 2
-# up; `seq lift --r 80` takes about 5-6 s on a 2-core Xeon under CPython
-# 3.11, and the time grows about tenfold per doubling of r.
+# up; `seq lift --r 80` takes 0.2-0.3 s on a 2-core Xeon under CPython
+# 3.11, 0.04 s of it lifting.  Raising it changes which argv succeed.
 MAX_LIFT_OFFSET = 80
 
 # Largest order of the St(n, k) triangle; output size, not time, limits it.
@@ -46,9 +49,6 @@ class RationalPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
     def __call__(self, k) -> Fraction:
         x = Fraction(k)
         acc = Fraction(0)
@@ -56,40 +56,16 @@ class RationalPolynomial:
             acc = acc * x + c
         return acc
 
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return RationalPolynomial.of(*merged)
-
-    def scale(self, factor) -> "RationalPolynomial":
-        f = Fraction(factor)
-        return RationalPolynomial.of(*(c * f for c in self.coefficients))
-
-    def shift_argument(self, delta) -> "RationalPolynomial":
-        """The polynomial q with q(k) = p(k + delta)."""
-        d = Fraction(delta)
-        out = [Fraction(0)] * len(self.coefficients)
-        for m, c in enumerate(self.coefficients):
-            for j in range(m + 1):
-                out[j] += c * comb(m, j) * d ** (m - j)
-        return RationalPolynomial.of(*out)
-
-
-ZERO = RationalPolynomial.of(0)
-ONE = RationalPolynomial.of(1)
-
 
 @dataclass(frozen=True)
 class StOffsetFamily:
-    """Polynomial giving St(k+r, k) for k >= 1, anchored at St(r, 0)."""
+    """Polynomial giving St(k+r, k) for k >= 1, anchored at St(r, 0), also
+    as its integer coefficients in the basis C(k, i)."""
 
     r: int
     polynomial: RationalPolynomial
     k0_value: int
+    newton_coefficients: tuple[int, ...]
 
 
 def st(n: int, k: int) -> int:
@@ -118,52 +94,71 @@ def st_closed_form(r: int, k: int) -> int:
     raise UnsupportedOffset(f"no closed form implemented for offset {r}")
 
 
+def _shifted(a) -> list[int]:
+    """Newton coefficients of p(k-1) from those of p(k)."""
+    b = list(a)
+    for i in reversed(range(len(b) - 1)):
+        b[i] -= b[i + 1]
+    return b
+
+
+def _monomial(a: list[int]) -> RationalPolynomial:
+    """sum_i a_i C(k, i) multiplied out, C(k, i) = k(k-1)...(k-i+1) / i!,
+    over the common denominator deg!."""
+    denominator = factorial(len(a) - 1)
+    numerators = [0] * len(a)
+    falling = [1]  # monomial coefficients of k(k-1)...(k-i+1)
+    for i, coefficient in enumerate(a):
+        if i:
+            falling = [lo - (i - 1) * hi
+                       for lo, hi in zip([0] + falling, falling + [0])]
+        weight = coefficient * denominator // factorial(i)
+        for j, c in enumerate(falling):
+            numerators[j] += weight * c
+    return RationalPolynomial.of(*(Fraction(x, denominator) for x in numerators))
+
+
 def lift_polynomial(r: int, lower) -> StOffsetFamily:
     """Lift the offset-r polynomial from the families of all offsets s < r.
 
-    R(k) = sum_{s=0}^{r-1} St((k-1)+s, k-1) * St(r-s, 0), where the offset-s
-    factor is the lower polynomial composed with k-1 (offset 0 is the
-    constant 1, offset 1 is 0).  With R = b_{n-1} k^{n-1} + ... + b_0 the
-    lifted polynomial p of degree n satisfies p(k) - p(k-1) = R(k), which
-    the triangular coefficient recurrence solves top down; the constant
-    term is pinned to St(r, 0).
+    In Newton coefficients (p(k) = sum_i a_i C(k, i)), by three integer
+    recurrences:
+    - shift: p(k-1) = sum_i b_i C(k, i) with b_i = a_i - b_{i+1}, top down,
+      since C(k+1, i) = C(k, i) + C(k, i-1);
+    - right-hand side: R(k) = sum_s St(r-s, 0) p_s(k-1) = sum_i c_i C(k, i)
+      over s = 0 and s = 2..r-1, with p_0 = 1 (offset 1 is 0), a sum of
+      integer vectors;
+    - telescoping sum: p_r(k) - p_r(k-1) = R(k) with p_r(0) = St(r, 0)
+      gives a_0 = St(r, 0) and a_i = c_{i-1} + c_i for i >= 1, by the
+      hockey stick sum_{j=0}^{k} C(j, i) = C(k+1, i+1).
     """
     if r < 2:
         raise UnsupportedOffset(f"lifting starts at offset 2, got {r}")
     by_offset = {fam.r: fam for fam in lower}
     st0 = f0_column(r)  # St(j, 0) for j <= r
 
-    rhs = ZERO
+    rhs: list[int] = []
     for s in range(r):
         weight = st0[r - s]
-        if weight == 0:
+        if weight == 0 or s == 1:
             continue
         if s == 0:
-            term = ONE
-        elif s == 1:
-            continue
+            term = [1]
+        elif s not in by_offset:
+            raise MissingLowerOffset(f"offset {s} family not supplied")
         else:
-            if s not in by_offset:
-                raise MissingLowerOffset(f"offset {s} family not supplied")
-            term = by_offset[s].polynomial.shift_argument(-1)
-        rhs = rhs + term.scale(weight)
-
-    if rhs.is_zero():
+            term = _shifted(by_offset[s].newton_coefficients)
+        rhs += [0] * (len(term) - len(rhs))
+        for i, c in enumerate(term):
+            rhs[i] += weight * c
+    while rhs and rhs[-1] == 0:
+        rhs.pop()
+    if not rhs:
         raise DegenerateR(f"R(k) vanishes for offset {r}")
 
-    b = rhs.coefficients
-    n = len(b)  # deg(R) + 1
-    a = [Fraction(0)] * (n + 1)
-    a[n] = Fraction(b[n - 1], n)
-    for j in range(1, n):
-        acc = b[n - j - 1]
-        for i in range(j):
-            acc -= (-1) ** (j - i) * comb(n - i, j + 1 - i) * a[n - i]
-        a[n - j] = acc / (n - j)
-    a[0] = Fraction(st0[r])
-    return StOffsetFamily(
-        r=r, polynomial=RationalPolynomial.of(*a), k0_value=st0[r]
-    )
+    a = [st0[r]] + [lo + hi for lo, hi in zip(rhs, rhs[1:] + [0])]
+    return StOffsetFamily(r=r, polynomial=_monomial(a), k0_value=st0[r],
+                          newton_coefficients=tuple(a))
 
 
 def lift_families(max_r: int) -> dict[int, StOffsetFamily]:

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permdom.cli import main
+from permdom.sequences import MAX_LIFT_OFFSET
 
 CALL_SECONDS = 5.0  # each well-formed call here takes well under 0.5 s
 
@@ -77,7 +78,7 @@ COMMANDS = st.one_of(
     argv_of("oracle", "tally", "--n", size(-1, 7), JOBS,
             flags(("--allow-big",))),
     argv_of("seq", "st", "--max-n", size(-1, 12), FORMAT),
-    argv_of("seq", "lift", "--r", size(-1, 8)),
+    argv_of("seq", "lift", "--r", size(-1, MAX_LIFT_OFFSET + 1)),
     argv_of("verify", "--max-n", size(-1, 4), JOBS),
 )
 
@@ -115,6 +116,7 @@ def assert_parses(out: str) -> None:
 @settings(max_examples=400, deadline=None)
 @given(argvs())
 @example(["construct", "gamma", "--n", "1", "--k", "1"]).via("one vertex, gamma 1")
+@example(["seq", "lift", "--r", str(MAX_LIFT_OFFSET)]).via("the largest offset")
 def test_generated_argv_gets_an_answer_or_a_typed_error(argv):
     code, out, err, elapsed = call(argv)
     assert code in (0, 1, 2, 3), (code, err)
