@@ -555,6 +555,9 @@ def _d_verify_corpus():
         + [("count", "d", "--n", "20", "--k", k, "--c-table", "ones")
            for k in ("2", "6", "10")]
         + [("verify", "--max-n", m, "--jobs", "1") for m in ("1", "3", "7")]
+        + [("verify", "--max-n", m, "--jobs", "1")
+           for m in ("2", "4", "5", "6", "8")]
+        + [("verify", "--max-n", "8", "--jobs", "2")]
     )
 
 
@@ -581,7 +584,8 @@ def c_table_files(tmp_path_factory):
 
 # SHA-256 of stdout for each argv of _d_verify_corpus, in order, recorded
 # with the composition-sum `disconnected_count` and the `verify` that
-# clamped --max-n to 8.
+# clamped --max-n to 8; the last six with the `verify` that swept each
+# order once per purpose.
 D_VERIFY_GOLDEN_DIGESTS = """
 a7b7718392f765753ddb0d30304bf5ee659b3523c80c0fb13d84a07c99c08155
 486f01aa951722ea813006c085414788f0d8dcfd6bf5b4277e92bf30d2d40d15
@@ -632,6 +636,12 @@ fb6db7896990257c213fe1437b5d093370957c4fc7ce8713f1e8445c47434f18
 f51bc39dab65aa74228eb69ff0c55555fee3e7d674cc8cce55afbc30fb6b404c
 fe744d9fc03bac8d2a96c17ae9e19b9e7c723dc83774a4b865257805f854ad27
 7f8ae7da67ffda4b6dc4163856c179f62c26141274c6d2033bc45fff603fabeb
+f916ea770a7d1383903810691fcfa548e7e38ca22218180d69a016db2f8b1df0
+15590565881f3f75181ad7557ff227c6645c8e26cde33e5bc95f28c594760eaf
+8ec7ae5401d28d6f2e064acee2c3c460ec9f0651385e94ef18e1108aa0980e31
+93ef5a71431f89bd601900e3eb24c482d5addba86612ad5d7aea797b6f69d58d
+01d3e89947b1195911b03a0d1e864095279e64338a75f1a297e21bfafaea97b5
+01d3e89947b1195911b03a0d1e864095279e64338a75f1a297e21bfafaea97b5
 """.split()
 
 
