@@ -24,7 +24,8 @@ from .domination import (
     quick_rule_position_ends,
     quick_rule_value_ends,
 )
-from .errors import BadSetting, OrderCapExceeded, ParseError, PermdomError
+from .errors import (BadSetting, OrderCapExceeded, ParseError, PermdomError,
+                     UnwritableOutput)
 from .graph import build_graph, is_connected
 from .perm import parse_permutation, reverse, strong_fixed_points
 
@@ -100,13 +101,20 @@ def _json_text(value, indent: str = "") -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = _json_text(payload)
-    if out:
+def _write(text: str, out: str | None) -> None:
+    """`text` and a newline to stdout, or to the file `out` if one is named."""
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {out!r}: {exc.strerror or exc}") from exc
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write(_json_text(payload), out)
 
 
 def _csv_field(text: str) -> str:
@@ -122,12 +130,7 @@ def _emit_rows(rows, fmt: str, out: str | None, payload_key: str) -> None:
     if fmt == "csv":
         lines = ["index,value"] + [f"{_csv_field(str(i))},{_csv_field(v)}"
                                    for i, v in rows]
-        text = "\n".join(lines)
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write("\n".join(lines), out)
     else:
         _emit({"schema": SCHEMA, payload_key: {str(i): v for i, v in rows}}, out)
 
@@ -255,16 +258,9 @@ def cmd_construct(args) -> int:
 
 
 def _tally_payload(report: oracle.TallyReport) -> dict:
-    as_str = lambda d: {str(k): str(v) for k, v in d.items()}
-    return {
-        "schema": SCHEMA,
-        "n": report.n,
-        "g": as_str(report.g),
-        "c": as_str(report.c),
-        "d": as_str(report.d),
-        "f1": as_str(report.f1),
-        "st": as_str(report.st),
-    }
+    return {"schema": SCHEMA, "n": report.n, **{
+        key: {str(k): str(v) for k, v in getattr(report, key).items()}
+        for key in ("g", "c", "d", "f1", "st")}}
 
 
 def cmd_verify(args) -> int:

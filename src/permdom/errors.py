@@ -9,6 +9,10 @@ class BadSetting(PermdomError):
     """An environment variable holds a value outside its valid range."""
 
 
+class UnwritableOutput(PermdomError):
+    """The file named by --out cannot be written."""
+
+
 class ParseError(PermdomError):
     """One-line notation text could not be tokenized."""
 

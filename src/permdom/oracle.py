@@ -5,8 +5,7 @@ all n! permutations and measuring each graph directly.  One engine,
 `sweep`, does the enumerating: a depth-first search over prefixes in
 lexicographic order that updates each permutation's closed neighborhoods,
 connectivity, strong fixed points and singleton dominators in O(1) per
-placed value, instead of building every graph from scratch.  Every S_n loop
-in this module and in `verify` runs on it.
+placed value, instead of building every graph from scratch.
 
 The sweep also sieves the 2^n vertex subsets: it carries a 2^n-bit mask
 whose bit T is set while subset T meets every closed neighborhood placed so
@@ -16,28 +15,34 @@ member.  Every subset is tested and none is skipped, which makes the sieve
 exhaustive ground truth; the pruned search in `domination`, which
 `analyze` needs beyond the oracle's orders, is its differential oracle.
 
+Three loops read the sweep: `_tally_chunk` for `oracle tally`, which pays
+for nothing else; `_census_chunk`, one pass that gathers every fact
+`verify` reads; and the listing `connected_gamma_permutations`.  (`verify`'s
+invariant suite has its own, as it rebuilds each graph to check the sweep.)
+
 A sweep can be restricted to the permutations that begin with given
-values.  Parallel tallies sweep one subtree per ordered pair of leading
-values; the subtrees' tallies merge by addition, so any worker count
-produces the identical report.
+values.  Parallel runs sweep one subtree per ordered pair of leading
+values; the subtrees' tallies and censuses merge by addition, so any worker
+count produces the identical result.
 """
 from __future__ import annotations
 
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
+from functools import lru_cache, reduce
 from itertools import permutations
+from operator import add
 
-from .counting import CountTable, _check_pair
+from .counting import CountTable
 from .domination import (
     heuristic_dominating_set,
     is_dominating,
     quick_rule_position_ends,
     quick_rule_value_ends,
 )
-from .errors import OrderCapExceeded, VertexOutOfRange
+from .errors import OrderCapExceeded
 # build_graph stays bound here: the benchmark's tracer wraps it by this name.
 from .graph import PermutationGraph, build_graph  # noqa: F401
 from .perm import Permutation
@@ -48,6 +53,10 @@ HARD_CAP = 11
 # about 35 ms there, against about 60 ms to open a pool and send it the 42
 # chunks (2 cores).  From S_8 on the pool wins.
 POOL_MIN_ORDER = 8
+# A census runs the hand heuristic, which caps its order.  It counts pair and
+# efficient dominators up to DETAIL_MAX_N only, the range `verify` reads.
+CENSUS_CAP = 8
+DETAIL_MAX_N = 7
 
 
 @dataclass
@@ -61,6 +70,50 @@ class TallyReport:
     f1: dict[int, int] = field(default_factory=dict)  # singleton dominators
     st: dict[int, int] = field(default_factory=dict)  # strong fixed points
     elapsed: float = 0.0
+
+    @classmethod
+    def from_counts(cls, n: int, counts: Counter) -> TallyReport:
+        """The histograms of a `_tally_chunk` counter over all of S_n."""
+        hist = {key: Counter() for key in ("g", "c", "d", "f1", "st")}
+        for (gamma, connected, singles, strong), count in counts.items():
+            hist["g"][gamma] += count
+            hist["c" if connected else "d"][gamma] += count
+            hist["f1"][singles] += count
+            hist["st"][strong] += count
+        return cls(n=n, **{key: dict(sorted(h.items())) for key, h in hist.items()})
+
+
+def _add_fields(a, b):
+    """Field-by-field sum of two records of one dataclass."""
+    return type(a)(*(getattr(a, f.name) + getattr(b, f.name) for f in fields(a)))
+
+
+@dataclass(frozen=True)
+class HeuristicQuality:
+    total: int
+    excluded: int
+    optimal: int
+
+    __add__ = _add_fields
+
+    @property
+    def rate(self) -> float:
+        considered = self.total - self.excluded
+        return self.optimal / considered if considered else 1.0
+
+
+@dataclass
+class Census:
+    """Every fact `verify` reads about a set of permutations of [n], from one
+    sweep.  Censuses of disjoint sets add with `+`."""
+
+    tally: Counter       # `_tally_chunk`'s key -> count
+    singletons: Counter  # k -> count of graphs that {k} dominates
+    pairs: Counter       # (u, v, adjacent) -> count of graphs {u, v} dominates
+    efficient: Counter   # vertex subset bitmask -> count it dominates efficiently
+    heuristic: HeuristicQuality
+
+    __add__ = _add_fields
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -199,6 +252,52 @@ def _tally_chunk(args) -> Counter:
     )
 
 
+def _census_chunk(args) -> Census:
+    """The census of the permutations of [n] that begin with `lead`.  A set
+    dominates efficiently when it meets every closed neighborhood once.  The
+    heuristic's output is asserted to dominate; `optimal` counts where it has
+    minimum size, among the permutations no end-pattern quick rule matches."""
+    n, lead = args
+    _, size = _subset_tables(n)
+    detail = n <= DETAIL_MAX_N
+    once = _meet_once_table(n) if detail else ()
+    two_sets = size[2] if n >= 2 else 0
+    full = (1 << n) - 1
+    tally, singletons, pairs, efficient = Counter(), Counter(), Counter(), Counter()
+    excluded = optimal = 0
+    for image, rows, connected, strong, singles, dom in sweep(n, lead):
+        gamma = _gamma(dom, size)
+        tally[gamma, connected, singles, strong] += 1
+        if singles:
+            singletons.update(k for k, row in enumerate(rows, start=1) if row == full)
+        if detail:
+            two = dom & two_sets
+            while two:
+                bit = two & -two
+                two ^= bit
+                subset = bit.bit_length() - 1
+                low = subset & -subset
+                u, v = low.bit_length(), (subset ^ low).bit_length()
+                pairs[u, v, rows[u - 1] >> (v - 1) & 1] += 1
+            hits = dom
+            for row in rows:
+                hits &= once[row]
+            while hits:
+                bit = hits & -hits
+                hits ^= bit
+                efficient[bit.bit_length() - 1] += 1
+        p = Permutation(image)
+        g = PermutationGraph(n, tuple(r ^ 1 << i for i, r in enumerate(rows)), p)
+        result = heuristic_dominating_set(g)
+        assert is_dominating(g, result.witness)
+        if quick_rule_value_ends(p) or quick_rule_position_ends(p):
+            excluded += 1
+        elif result.gamma == gamma:
+            optimal += 1
+    quality = HeuristicQuality(sum(tally.values()), excluded, optimal)
+    return Census(tally, singletons, pairs, efficient, quality)
+
+
 def _worker_count(jobs: int) -> int:
     """Worker processes for a requested job count: at least 1 and at most
     the number of CPUs."""
@@ -214,33 +313,32 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
+def _merged(chunk, n: int, jobs: int):
+    """`chunk` over all of S_n: in process for one worker or below
+    POOL_MIN_ORDER, else one chunk per ordered pair of leading values (72 at
+    n = 9, so uneven costs share out), merged by addition."""
+    workers = _worker_count(jobs) if n >= POOL_MIN_ORDER else 1
+    if workers == 1:
+        return chunk((n, ()))
+    leads = permutations(range(1, n + 1), min(2, n))
+    with _process_pool(workers) as pool:
+        return reduce(add, pool.map(chunk, [(n, lead) for lead in leads]))
+
+
 def full_tally(n: int, jobs: int = 1, cap: int = DEFAULT_CAP) -> TallyReport:
     """Tally gamma, connectivity, singleton dominators, and strong fixed
     points over all of S_n."""
     _check_cap(n, min(cap, HARD_CAP))
     started = time.perf_counter()
-    workers = _worker_count(jobs) if n >= POOL_MIN_ORDER else 1
-    if workers == 1:
-        merged = _tally_chunk((n, ()))
-    else:
-        # One chunk per ordered pair of leading values (72 at n = 9): many
-        # more chunks than workers, so uneven gamma-search costs share out.
-        leads = permutations(range(1, n + 1), min(2, n))
-        merged = Counter()
-        with _process_pool(workers) as pool:
-            for part in pool.map(_tally_chunk, [(n, lead) for lead in leads]):
-                merged.update(part)
-    hist = {key: Counter() for key in ("g", "c", "d", "f1", "st")}
-    for (gamma, connected, singles, strong), count in merged.items():
-        hist["g"][gamma] += count
-        hist["c" if connected else "d"][gamma] += count
-        hist["f1"][singles] += count
-        hist["st"][strong] += count
-    return TallyReport(
-        n=n,
-        **{key: dict(sorted(h.items())) for key, h in hist.items()},
-        elapsed=time.perf_counter() - started,
-    )
+    report = TallyReport.from_counts(n, _merged(_tally_chunk, n, jobs))
+    report.elapsed = time.perf_counter() - started
+    return report
+
+
+def census(n: int, jobs: int = 1) -> Census:
+    """The census of all of S_n, split across `jobs` as `full_tally` is."""
+    _check_cap(n, CENSUS_CAP)
+    return _merged(_census_chunk, n, jobs)
 
 
 def c_table(max_n: int, tally=full_tally) -> CountTable:
@@ -251,76 +349,13 @@ def c_table(max_n: int, tally=full_tally) -> CountTable:
         report = tally(n)
         for k, count in report.c.items():
             table.entries[(n, k)] = count
-        if not report.c:  # keep the row visible even if empty
-            table.entries[(n, 0)] = 0
     return table
-
-
-def pair_tallies(n: int, pairs) -> dict:
-    """(u, v) -> (nonadjacent, adjacent) counts of permutations whose graph
-    is dominated by {u, v}, for every pair in `pairs`, in one sweep."""
-    _check_cap(n, DEFAULT_CAP)
-    pairs = [tuple(pair) for pair in pairs]
-    for u, v in pairs:
-        _check_pair(n, u, v)
-    full = (1 << n) - 1
-    counts = {pair: [0, 0] for pair in pairs}
-    for _, rows, *_ in sweep(n):
-        for (u, v), slot in counts.items():
-            row = rows[u - 1]
-            if row | rows[v - 1] == full:
-                slot[row >> (v - 1) & 1] += 1  # [nonadjacent, adjacent]
-    return {pair: tuple(slot) for pair, slot in counts.items()}
-
-
-def efficient_tallies(n: int, sets) -> dict:
-    """Vertex tuple -> number of permutations whose graph is efficiently
-    dominated by it (closed neighborhoods partition the vertices), for every
-    tuple in `sets`, in one sweep.
-
-    A vertex set dominates efficiently exactly when every closed
-    neighborhood meets it in one vertex, so each permutation's efficient
-    sets are the and of `_meet_once_table` over its rows: a sieve of all
-    2^n subsets, which costs n big-int ands whatever the number of tuples.
-    A tuple that repeats a vertex is never efficient."""
-    _check_cap(n, DEFAULT_CAP)
-    sets = [tuple(a) for a in sets]
-    for a in sets:
-        for v in a:
-            if not 1 <= v <= n:
-                raise VertexOutOfRange(f"vertex {v} not in [1, {n}]")
-    counts = dict.fromkeys(sets, 0)
-    by_subset: dict[int, list] = {}  # vertex subset -> the tuples listing it
-    for a in counts:
-        subset = 0
-        for v in a:
-            subset |= 1 << (v - 1)
-        if subset.bit_count() == len(a):
-            by_subset.setdefault(subset, []).append(a)
-    wanted = sum(1 << subset for subset in by_subset)
-    once = _meet_once_table(n)
-    for _, rows, *_ in sweep(n):
-        hits = wanted
-        for row in rows:
-            hits &= once[row]
-        while hits:
-            bit = hits & -hits
-            hits ^= bit
-            for a in by_subset[bit.bit_length() - 1]:
-                counts[a] += 1
-    return counts
 
 
 def singleton_domination_tally(n: int) -> dict[int, int]:
     """For each k, the number of permutations whose graph has {k} as a
     dominating set."""
-    _check_cap(n, DEFAULT_CAP)
-    full = (1 << n) - 1
-    counts = Counter()
-    for _, rows, _, _, singles, _ in sweep(n):
-        if singles:
-            counts.update(k for k, row in enumerate(rows, start=1) if row == full)
-    return dict(sorted(counts.items()))
+    return dict(sorted(census(n).singletons.items()))
 
 
 def connected_gamma_permutations(n: int, k: int):
@@ -335,39 +370,6 @@ def connected_gamma_permutations(n: int, k: int):
     ]
 
 
-@dataclass(frozen=True)
-class HeuristicQuality:
-    total: int
-    excluded: int
-    optimal: int
-
-    @property
-    def rate(self) -> float:
-        considered = self.total - self.excluded
-        return self.optimal / considered if considered else 1.0
-
-
 def heuristic_quality(n: int) -> HeuristicQuality:
-    """Run the hand heuristic over all of S_n.
-
-    Each graph is built from the sweep's closed neighborhoods.  Permutations
-    matched by either end-pattern quick rule are excluded;
-    `optimal` counts the remaining ones where the heuristic set has minimum
-    size.  Every heuristic output is also asserted to dominate.
-    """
-    _check_cap(n, 8)
-    _, size = _subset_tables(n)
-    total = excluded = optimal = 0
-    for image, rows, *_, dom in sweep(n):
-        total += 1
-        p = Permutation(image)
-        open_rows = tuple(row ^ (1 << i) for i, row in enumerate(rows))
-        g = PermutationGraph(n, open_rows, p)
-        result = heuristic_dominating_set(g)
-        assert is_dominating(g, result.witness)
-        if quick_rule_value_ends(p) or quick_rule_position_ends(p):
-            excluded += 1
-            continue
-        if result.gamma == _gamma(dom, size):
-            optimal += 1
-    return HeuristicQuality(total=total, excluded=excluded, optimal=optimal)
+    """The hand heuristic over all of S_n, as `_census_chunk` runs it."""
+    return census(n).heuristic

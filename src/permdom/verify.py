@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import constructions, counting, oracle, sequences
 from .domination import (
     count_singleton_dominators,
     domination_number_exact,
-    heuristic_dominating_set,
-    is_dominating,
-    quick_rule_position_ends,
-    quick_rule_value_ends,
     singleton_dominators_by_position,
 )
 from .graph import (
@@ -26,11 +23,12 @@ from .graph import (
     degree_bound_check,
     is_connected,
     is_connected_search,
+    mask_of,
 )
 from .perm import Permutation, reverse, strong_fixed_points
 
-# Largest max_n `run_all` takes: the order of its largest S_n sweep.
-MAX_N = 8
+# Largest max_n `run_all` takes: the order of its largest S_n census.
+MAX_N = oracle.CENSUS_CAP
 
 
 @dataclass(frozen=True)
@@ -51,17 +49,20 @@ class VerificationRun:
         return 0 if all(c.passed for c in self.checks) else 3
 
 
-class TallyCache:
-    """Memoized oracle tallies shared across checks."""
+class TallyCache(dict):
+    """Oracle censuses by order, each swept on first use and shared across
+    checks."""
 
     def __init__(self, jobs: int = 1):
+        super().__init__()
         self.jobs = jobs
-        self._tallies: dict[int, oracle.TallyReport] = {}
+
+    def __missing__(self, n: int) -> oracle.Census:
+        self[n] = oracle.census(n, jobs=self.jobs)
+        return self[n]
 
     def tally(self, n: int) -> oracle.TallyReport:
-        if n not in self._tallies:
-            self._tallies[n] = oracle.full_tally(n, jobs=self.jobs)
-        return self._tallies[n]
+        return oracle.TallyReport.from_counts(n, self[n].tally)
 
 
 def _result(name, range_note, mismatches, detail=None) -> CheckResult:
@@ -144,46 +145,43 @@ def check_polynomial_lifting(max_k: int = 40) -> CheckResult:
     return _result("polynomial_lifting", f"r <= 7, k <= {max_k}", bad)
 
 
-def check_pair_counts(max_n: int) -> CheckResult:
-    """Pair-domination formulas against a direct enumeration split."""
+def check_pair_counts(cache: TallyCache, max_n: int) -> CheckResult:
+    """Pair-domination formulas against the census's split by adjacency,
+    for max_n <= oracle.DETAIL_MAX_N."""
     bad = []
     for n in range(2, max_n + 1):
-        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-        # One pass over S_n, classifying every (u, v) at once.
-        for (u, v), (nonadj, adj) in oracle.pair_tallies(n, pairs).items():
-            if counting.pair_count_nonadjacent(n, u, v) != nonadj:
+        pairs = cache[n].pairs
+        for u, v in combinations(range(1, n + 1), 2):
+            if counting.pair_count_nonadjacent(n, u, v) != pairs[u, v, 0]:
                 bad.append(f"nonadjacent ({n},{u},{v})")
-            if counting.pair_count_adjacent(n, u, v) != adj:
+            if counting.pair_count_adjacent(n, u, v) != pairs[u, v, 1]:
                 bad.append(f"adjacent ({n},{u},{v})")
     return _result("pair_counts_vs_oracle", f"n <= {max_n}, all u < v", bad)
 
 
-def check_efficient_counts(max_n: int, max_size: int = 5) -> CheckResult:
-    """Efficient-domination formula against a direct enumeration."""
-    from itertools import combinations
-
+def check_efficient_counts(cache: TallyCache, max_n: int,
+                           max_size: int = 5) -> CheckResult:
+    """Efficient-domination formula against the census, for
+    max_n <= oracle.DETAIL_MAX_N."""
     bad = []
     for n in range(2, max_n + 1):
-        subsets = [
-            a
-            for size in range(2, min(max_size, n) + 1)
-            for a in combinations(range(1, n + 1), size)
-        ]
-        for a, seen in oracle.efficient_tallies(n, subsets).items():
-            if counting.efficient_dom_count(n, a) != seen:
-                bad.append(f"efficient ({n},{a})")
+        efficient = cache[n].efficient
+        for size in range(2, min(max_size, n) + 1):
+            for a in combinations(range(1, n + 1), size):
+                if counting.efficient_dom_count(n, a) != efficient[mask_of(a)]:
+                    bad.append(f"efficient ({n},{a})")
     return _result(
         "efficient_counts_vs_oracle", f"n <= {max_n}, 2 <= |A| <= {max_size}", bad
     )
 
 
-def check_singleton_formula(max_n: int) -> CheckResult:
+def check_singleton_formula(cache: TallyCache, max_n: int) -> CheckResult:
     """(n-k)!(k-1)! against the per-k oracle tally."""
     bad = []
     for n in range(1, max_n + 1):
-        tally = oracle.singleton_domination_tally(n)
+        singletons = cache[n].singletons
         for k in range(1, n + 1):
-            if counting.singleton_dom_count(n, k) != tally.get(k, 0):
+            if counting.singleton_dom_count(n, k) != singletons[k]:
                 bad.append(f"singleton ({n},{k})")
     return _result("singleton_formula_vs_oracle", f"n <= {max_n}", bad)
 
@@ -193,12 +191,10 @@ def check_disconnected_formula(cache: TallyCache, max_n: int) -> CheckResult:
     bad = []
     for n in range(1, max_n + 1):
         report = cache.tally(n)
-        ctab = (oracle.c_table(n - 1, cache.tally) if n > 1
-                else counting.CountTable(kind="c"))
-        ks = set(report.g) | set(report.d)
-        for k in sorted(ks):
+        ctab = oracle.c_table(n - 1, cache.tally)
+        for k in sorted(set(report.g) | set(report.d)):
             want = report.d.get(k, 0)
-            got = counting.disconnected_count(n, k, ctab) if n > 1 else 0
+            got = counting.disconnected_count(n, k, ctab)
             if got != want:
                 bad.append(f"d({n},{k}): formula {got} oracle {want}")
             if report.g.get(k, 0) != report.c.get(k, 0) + report.d.get(k, 0):
@@ -272,13 +268,14 @@ def check_connected_with_gamma(max_n: int = 12) -> CheckResult:
     return _result("connected_with_gamma", f"n <= {max_n}, k <= n/2", bad)
 
 
-def check_heuristic(max_n: int, soft_rate: float = 0.90) -> CheckResult:
+def check_heuristic(cache: TallyCache, max_n: int,
+                    soft_rate: float = 0.90) -> CheckResult:
     """Heuristic output always dominates; optimality rate reported with a
     soft gate (the clique procedure's tie-breaking is a free choice)."""
     bad = []
     rates = []
     for n in range(1, max_n + 1):
-        q = oracle.heuristic_quality(n)  # asserts domination internally
+        q = cache[n].heuristic  # the census asserts domination
         rates.append(f"n={n}: {q.optimal}/{q.total - q.excluded}")
         if q.rate < soft_rate:
             bad.append(f"rate {q.rate:.3f} below soft gate at n={n}")
@@ -322,15 +319,15 @@ def run_all(max_n: int = MAX_N, jobs: int = 1, samples: int = 500) -> Verificati
     """Every formula-versus-oracle comparison, in a fixed order, over S_n
     for n <= max_n <= MAX_N."""
     cache = TallyCache(jobs=jobs)
-    n7 = min(max_n, 7)
+    detail_n = min(max_n, oracle.DETAIL_MAX_N)
     run = VerificationRun()
     run.checks.append(check_recursions_vs_oracle(cache, max_n))
     run.checks.append(check_strong_fixed_point_identity(cache, max_n))
     run.checks.append(check_closed_forms())
     run.checks.append(check_polynomial_lifting())
-    run.checks.append(check_pair_counts(n7))
-    run.checks.append(check_efficient_counts(n7))
-    run.checks.append(check_singleton_formula(max_n))
+    run.checks.append(check_pair_counts(cache, detail_n))
+    run.checks.append(check_efficient_counts(cache, detail_n))
+    run.checks.append(check_singleton_formula(cache, max_n))
     run.checks.append(check_disconnected_formula(cache, max_n))
     if max_n >= 8:
         run.checks.append(check_combs())
@@ -338,6 +335,6 @@ def run_all(max_n: int = MAX_N, jobs: int = 1, samples: int = 500) -> Verificati
         run.checks.append(check_combs(enumerate_n=(6,)))
     run.checks.append(check_extension(samples=samples))
     run.checks.append(check_connected_with_gamma())
-    run.checks.append(check_heuristic(max_n))
-    run.checks.append(check_invariant_suite(n7))
+    run.checks.append(check_heuristic(cache, max_n))
+    run.checks.append(check_invariant_suite(detail_n))
     return run

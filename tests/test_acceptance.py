@@ -3,8 +3,8 @@ at desk scale.
 
 Each test prints a single pass/fail line so a plain `pytest -s
 tests/test_acceptance.py` reads as a checklist.  The checks themselves live
-in permdom.verify; one oracle tally cache is shared across the module
-because n = 8 enumeration is the expensive part.
+in permdom.verify; one cache of oracle censuses is shared across the
+module because n = 8 enumeration is the expensive part.
 """
 import pytest
 
@@ -42,15 +42,15 @@ def test_04_polynomial_lifting(cache):
 
 
 def test_05_pair_counts(cache):
-    report(5, verify.check_pair_counts(7))
+    report(5, verify.check_pair_counts(cache, 7))
 
 
 def test_06_efficient_counts(cache):
-    report(6, verify.check_efficient_counts(7, max_size=5))
+    report(6, verify.check_efficient_counts(cache, 7, max_size=5))
 
 
 def test_07_singleton_formula(cache):
-    report(7, verify.check_singleton_formula(8))
+    report(7, verify.check_singleton_formula(cache, 8))
 
 
 def test_08_disconnected_formula(cache):
@@ -70,7 +70,7 @@ def test_11_connected_with_gamma_grid(cache):
 
 
 def test_12_heuristic_quality(cache):
-    report(12, verify.check_heuristic(8, soft_rate=0.90))
+    report(12, verify.check_heuristic(cache, 8, soft_rate=0.90))
 
 
 def test_13_structural_invariants(cache):

@@ -197,6 +197,23 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["gamma"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "1,2"),
+    ("count", "f1", "--n", "3"),
+    ("count", "f1", "--n", "3", "--format", "csv"),
+    ("construct", "comb", "--n", "6"),
+    ("oracle", "tally", "--n", "3"),
+    ("seq", "lift", "--r", "3"),
+    ("verify", "--max-n", "2"),
+])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_is_a_typed_error(capsys, tmp_path, argv, target):
+    path = tmp_path if target == "directory" else tmp_path / "no" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: UnwritableOutput: ") and "Traceback" not in err
+
+
 def test_domain_errors_exit_one(capsys):
     code, _, err = run(capsys, "analyze", "1,1,2")
     assert code == 1 and "NotABijection" in err

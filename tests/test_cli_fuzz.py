@@ -20,6 +20,7 @@ from permdom.cli import main
 from permdom.sequences import MAX_LIFT_OFFSET
 
 CALL_SECONDS = 5.0  # each well-formed call here takes well under 0.5 s
+OUT_DIRECTORY = "."  # an `--out` that names a directory can never be written
 
 # Tokens that are malformed, out of range or misplaced wherever they land.
 # None starts with "--o" (argparse would read it as `--out` and write a
@@ -91,6 +92,8 @@ def argvs(draw):
                 st.integers(0, 12), st.sampled_from(JUNK)),
                 min_size=1, max_size=2)):
             argv.insert(at % (len(argv) + 1), token)
+    if draw(st.integers(0, 9)) == 0:  # a tenth ask to write to a directory
+        argv += ["--out", OUT_DIRECTORY]
     return argv
 
 
@@ -117,11 +120,14 @@ def assert_parses(out: str) -> None:
 @given(argvs())
 @example(["construct", "gamma", "--n", "1", "--k", "1"]).via("one vertex, gamma 1")
 @example(["seq", "lift", "--r", str(MAX_LIFT_OFFSET)]).via("the largest offset")
+@example(["analyze", "1,2", "--out", OUT_DIRECTORY]).via("--out a directory")
 def test_generated_argv_gets_an_answer_or_a_typed_error(argv):
     code, out, err, elapsed = call(argv)
     assert code in (0, 1, 2, 3), (code, err)
     assert "Traceback" not in err
     assert elapsed < CALL_SECONDS
+    if argv[-2:] == ["--out", OUT_DIRECTORY]:
+        assert code in (1, 2)
     if code == 0:
         assert_parses(out)
     elif code in (1, 2):

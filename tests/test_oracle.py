@@ -1,20 +1,22 @@
 from collections import Counter
+from functools import reduce
 from itertools import permutations
 from math import factorial
+from operator import add
 
 import pytest
 
 from permdom.errors import OrderCapExceeded
 from permdom.oracle import (
+    _census_chunk,
     _gamma,
     _meet_once_table,
     _subset_tables,
     _tally_chunk,
-    efficient_tallies,
+    census,
     full_tally,
     heuristic_quality,
     iter_permutations,
-    pair_tallies,
     singleton_domination_tally,
     sweep,
 )
@@ -67,37 +69,67 @@ def test_order_cap():
         full_tally(10)
     with pytest.raises(OrderCapExceeded):
         full_tally(12, cap=11)
+    # A census runs the heuristic on every graph, which caps it at n = 8;
+    # its views fail fast above that, before any sweep.
+    for view in (census, singleton_domination_tally, heuristic_quality):
+        with pytest.raises(OrderCapExceeded):
+            view(9)
 
 
 def test_pair_tally_examples():
-    assert pair_tallies(3, [(1, 3)]) == {(1, 3): (2, 3)}
-    assert pair_tallies(2, [(1, 2)]) == {(1, 2): (1, 1)}
-    assert pair_tallies(3, [(2, 3)]) == {(2, 3): (2, 2)}
+    # census.pairs: (u, v, adjacent) -> graphs that {u, v} dominates.
+    assert census(3).pairs[1, 3, 0] == 2 and census(3).pairs[1, 3, 1] == 3
+    assert census(2).pairs == {(1, 2, 0): 1, (1, 2, 1): 1}
+    assert census(3).pairs[2, 3, 0] == 2 and census(3).pairs[2, 3, 1] == 2
+    assert census(1).pairs == {}
 
 
-def test_efficient_tally_examples():
-    assert efficient_tallies(4, [(1, 4)]) == {(1, 4): 6}
-    assert efficient_tallies(3, [(1, 2, 3)]) == {(1, 2, 3): 1}
-    assert efficient_tallies(4, [(1, 2, 3, 4)]) == {(1, 2, 3, 4): 1}
+def test_pairs_match_the_graphs_built_from_scratch():
+    from itertools import combinations
 
-
-def test_efficient_tallies_match_the_member_by_member_check():
-    from itertools import combinations, product
-
-    from permdom.domination import is_efficient_dominating
+    from permdom.domination import is_dominating
     from permdom.graph import build_graph
     from permdom.perm import Permutation
 
-    for n in range(1, 7):
-        tuples = [a for size in range(4)
-                  for a in product(range(1, n + 1), repeat=size)]
-        tuples += [a for size in range(4, n + 1)
-                   for a in combinations(range(1, n + 1), size)]
+    for n in range(2, 7):
         expected = Counter()
         for image in permutations(range(1, n + 1)):
             g = build_graph(Permutation(image))
-            expected.update(a for a in tuples if is_efficient_dominating(g, a))
-        assert efficient_tallies(n, tuples) == {a: expected[a] for a in tuples}
+            expected.update((u, v, int(g.has_edge(u, v)))
+                            for u, v in combinations(range(1, n + 1), 2)
+                            if is_dominating(g, (u, v)))
+        assert census(n).pairs == expected
+
+
+def test_efficient_tally_examples():
+    # census.efficient is keyed by vertex bitmask: {1, 4} is 0b1001.
+    assert census(4).efficient[0b1001] == 6
+    assert census(3).efficient[0b111] == 1
+    assert census(4).efficient[0b1111] == 1
+
+
+def test_efficient_tallies_match_the_member_by_member_check():
+    from permdom.domination import is_efficient_dominating
+    from permdom.graph import build_graph, vertices_of
+    from permdom.perm import Permutation
+
+    for n in range(1, 7):
+        expected = Counter()
+        for image in permutations(range(1, n + 1)):
+            g = build_graph(Permutation(image))
+            expected.update(t for t in range(1 << n)
+                            if is_efficient_dominating(g, vertices_of(t)))
+        assert census(n).efficient == expected
+
+
+def test_census_sets_stop_above_the_detail_order(monkeypatch):
+    from permdom import oracle
+
+    monkeypatch.setattr(oracle, "DETAIL_MAX_N", 3)
+    assert census(3).pairs and census(3).efficient
+    above = census(4)
+    assert above.pairs == {} and above.efficient == {}
+    assert above.singletons and above.heuristic.total == 24
 
 
 def test_meet_once_table_by_definition():
@@ -220,6 +252,15 @@ def test_sweep_leads_concatenate_to_the_whole_sweep():
             assert merged == _tally_chunk((n, ()))
 
 
+def test_census_chunks_add_up_to_the_whole_census():
+    for n in (4, 5, 6, 7):
+        whole = _census_chunk((n, ()))
+        leads = permutations(range(1, n + 1), 2)
+        assert reduce(add, (_census_chunk((n, lead)) for lead in leads)) == whole
+        assert whole.tally == _tally_chunk((n, ()))
+        assert whole.heuristic.total == factorial(n)
+
+
 def test_sweep_of_an_impossible_lead_is_empty():
     for lead in ((1, 1), (2, 3, 2), (5,), (1, 6)):
         assert list(sweep(4, lead)) == []
@@ -293,13 +334,17 @@ def test_orders_below_the_pool_threshold_sweep_in_process(monkeypatch):
     assert workers == [2]
 
 
-def test_pair_and_efficient_tallies_validate_their_sets():
-    from permdom.errors import IndexOutOfRange, VertexOutOfRange
+def test_census_is_identical_for_every_chunking(monkeypatch):
+    import os
 
-    assert pair_tallies(3, [(1, 3), (2, 3)]) == {(1, 3): (2, 3), (2, 3): (2, 2)}
-    assert efficient_tallies(4, [(1, 4), (1, 2, 3, 4)]) == {
-        (1, 4): 6, (1, 2, 3, 4): 1}
-    with pytest.raises(IndexOutOfRange, match="need 1 <= u < v <= n"):
-        pair_tallies(3, [(1, 2), (3, 1)])
-    with pytest.raises(VertexOutOfRange):
-        efficient_tallies(3, [(1, 4)])
+    from permdom import oracle
+
+    workers = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(oracle, "_process_pool",
+                        lambda count: SerialPool(workers, count))
+    monkeypatch.setattr(oracle, "POOL_MIN_ORDER", 1)
+    single, *split = [census(6, jobs=j) for j in (1, 2, 3)]
+    assert workers == [2, 3]
+    assert all(other == single for other in split)
+    assert single.tally == _tally_chunk((6, ()))
