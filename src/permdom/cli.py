@@ -24,25 +24,11 @@ from .domination import (
     quick_rule_position_ends,
     quick_rule_value_ends,
 )
-from .errors import (BadSetting, OrderCapExceeded, ParseError, PermdomError,
-                     UnwritableOutput)
+from .errors import OrderCapExceeded, ParseError, PermdomError, UnwritableOutput
 from .graph import build_graph, is_connected
 from .perm import parse_permutation, reverse, strong_fixed_points
 
 SCHEMA = 1
-
-
-def _cap_from_env() -> int:
-    raw = os.environ.get("PERMDOM_MAX_N")
-    if raw is None:
-        return oracle.DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise BadSetting(f"PERMDOM_MAX_N must be a positive integer, got {raw!r}")
-    return min(cap, oracle.HARD_CAP)
 
 
 def _bounded_int(low: int, high: int | None = None):
@@ -101,10 +87,26 @@ def _json_text(value, indent: str = "") -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so that the flush at interpreter exit cannot
+    raise again after a failed write."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+
+
 def _write(text: str, out: str | None) -> None:
-    """`text` and a newline to stdout, or to the file `out` if one is named."""
+    """`text` and a newline to stdout, or to the file `out` if one is named.
+    Stdout is flushed here, so a write that fails (a full device) fails
+    here; a reader that went away raises BrokenPipeError for `main`."""
     if not out:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            _drop_stdout()
+            raise UnwritableOutput(
+                f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     try:
         with open(out, "w") as fh:
@@ -174,7 +176,7 @@ def _load_c_table(path: str) -> counting.CountTable:
                    for n, row in rows.items() for k, value in row.items()}
     except (OSError, ValueError, LookupError, AttributeError, TypeError) as exc:
         raise ParseError(f"bad c-table file {path!r}: {exc!r}") from exc
-    return counting.CountTable(kind="c", entries=entries)
+    return counting.CountTable(entries=entries)
 
 
 def cmd_count(args) -> int:
@@ -208,14 +210,13 @@ def cmd_count(args) -> int:
         if args.c_table:
             table = _load_c_table(args.c_table)
         else:
-            cap = _cap_from_env()
+            cap = oracle.DEFAULT_CAP
             if args.n - 1 > cap:  # fail before sweeping the orders below it
                 raise OrderCapExceeded(
                     f"count d --n {args.n} needs the connected counts for "
                     f"n = {args.n - 1}, outside the enumeration cap [1, {cap}]; "
                     "pass --c-table")
-            table = oracle.c_table(
-                args.n - 1, lambda n: oracle.full_tally(n, cap=cap))
+            table = oracle.c_table(args.n - 1)
         value = counting.disconnected_count(args.n, args.k, table)
         _emit_rows([(f"{args.n},{args.k}", str(value))], fmt, args.out, "d")
     return 0
@@ -286,7 +287,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cap = oracle.HARD_CAP if args.allow_big else _cap_from_env()
+    cap = oracle.HARD_CAP if args.allow_big else oracle.DEFAULT_CAP
     report = oracle.full_tally(args.n, jobs=args.jobs, cap=cap)
     _emit(_tally_payload(report), args.out)
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
@@ -424,17 +425,13 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
+        return args.func(args)
     except PermdomError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
-        # The reader closed stdout early (e.g. `| head`).  Point stdout at
-        # devnull so the flush at interpreter exit cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        # The reader closed stdout early (e.g. `| head`).
+        _drop_stdout()
         return 1
 
 

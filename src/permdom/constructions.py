@@ -138,8 +138,9 @@ def extend_preserving_gamma(p: Permutation) -> Permutation:
     q = Permutation(image)
 
     gq = build_graph(q)
-    assert is_connected(gq)
-    assert domination_number_exact(gq).gamma == result.gamma
+    if not is_connected(gq) or domination_number_exact(gq).gamma != result.gamma:
+        raise AssertionError(f"inserting {p.n + 1} into [{p}] changed "
+                             "connectivity or the domination number")
     return q
 
 

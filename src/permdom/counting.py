@@ -92,7 +92,6 @@ MAX_D_ORDER = 95
 class CountTable:
     """Exact tallies indexed by (n,), (n, t) or (n, k) tuples."""
 
-    kind: str  # one of: g1, f1t, c, d, g
     entries: dict[tuple[int, ...], int] = field(default_factory=dict)
 
     def get(self, *index: int, default: int = 0) -> int:

@@ -5,12 +5,8 @@ class PermdomError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class BadSetting(PermdomError):
-    """An environment variable holds a value outside its valid range."""
-
-
 class UnwritableOutput(PermdomError):
-    """The file named by --out cannot be written."""
+    """Stdout, or the file named by --out, cannot be written."""
 
 
 class ParseError(PermdomError):

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from .errors import OrderTooLarge, VertexOutOfRange
 from .perm import MAX_GRAPH_ORDER, Permutation
 
-VertexSet = frozenset  # vertex sets at the API boundary are frozensets of int
-
 
 def mask_of(vertices) -> int:
     """Bitmask for an iterable of vertices."""

@@ -255,7 +255,7 @@ def _tally_chunk(args) -> Counter:
 def _census_chunk(args) -> Census:
     """The census of the permutations of [n] that begin with `lead`.  A set
     dominates efficiently when it meets every closed neighborhood once.  The
-    heuristic's output is asserted to dominate; `optimal` counts where it has
+    heuristic's output is checked to dominate; `optimal` counts where it has
     minimum size, among the permutations no end-pattern quick rule matches."""
     n, lead = args
     _, size = _subset_tables(n)
@@ -289,7 +289,8 @@ def _census_chunk(args) -> Census:
         p = Permutation(image)
         g = PermutationGraph(n, tuple(r ^ 1 << i for i, r in enumerate(rows)), p)
         result = heuristic_dominating_set(g)
-        assert is_dominating(g, result.witness)
+        if not is_dominating(g, result.witness):
+            raise AssertionError(f"the heuristic's set does not dominate [{p}]")
         if quick_rule_value_ends(p) or quick_rule_position_ends(p):
             excluded += 1
         elif result.gamma == gamma:
@@ -344,7 +345,7 @@ def census(n: int, jobs: int = 1) -> Census:
 def c_table(max_n: int, tally=full_tally) -> CountTable:
     """Connected counts c(n, k) for all n <= max_n, from full tallies;
     `tally(n)` supplies the report for each n."""
-    table = CountTable(kind="c")
+    table = CountTable()
     for n in range(1, max_n + 1):
         report = tally(n)
         for k, count in report.c.items():

@@ -175,8 +175,8 @@ def sequence_table(max_n: int) -> tuple[CountTable, CountTable]:
     if max_n > MAX_ST_ORDER:
         raise IndexOutOfRange(
             f"recursion table capped at n = {MAX_ST_ORDER}, got {max_n}")
-    triangle = CountTable(kind="f1t")
-    column = CountTable(kind="g1")
+    triangle = CountTable()
+    column = CountTable()
     for n, row in enumerate(f1_triangle(max_n)):
         for k, value in enumerate(row):
             triangle.entries[(n, k)] = value

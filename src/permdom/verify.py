@@ -1,9 +1,10 @@
 """Formula-versus-oracle cross checks.
 
 Each check compares a counting formula, identity, or construction against
-the exhaustive oracle (or the exact solver) over its stated range, capped by
-a caller-supplied max_n so quick runs stay quick.  The acceptance test
-suite and the `verify` CLI subcommand both run these.
+the exhaustive oracle (or the exact solver) over the range it fixes itself;
+the checks over S_n stop at the caller's max_n so quick runs stay quick.
+`run_all` is the one list of checks: the `verify` CLI subcommand and the
+acceptance tests both read it.
 """
 from __future__ import annotations
 
@@ -106,8 +107,9 @@ def check_strong_fixed_point_identity(cache: TallyCache, max_n: int) -> CheckRes
     return _result("strong_fixed_point_identity", f"n <= {max_n}", bad)
 
 
-def check_closed_forms(max_k: int = 40) -> CheckResult:
-    """Offset closed forms against the f1 recursion."""
+def check_closed_forms() -> CheckResult:
+    """Offset closed forms against the f1 recursion, for k <= 40."""
+    max_k = 40
     bad = []
     f1_rows = counting.f1_triangle(max_k + 5)
     for r in (2, 3, 4, 5):
@@ -117,11 +119,12 @@ def check_closed_forms(max_k: int = 40) -> CheckResult:
     return _result("closed_forms_vs_recursion", f"r in 2..5, k <= {max_k}", bad)
 
 
-def check_polynomial_lifting(max_k: int = 40) -> CheckResult:
+def check_polynomial_lifting() -> CheckResult:
     """Lifted polynomials: exact expected coefficients for offsets 3..5,
-    recursion agreement at k = 1..max_k for offsets up to 7."""
+    recursion agreement at k = 1..40 for offsets up to 7."""
     from fractions import Fraction
 
+    max_k = 40
     bad = []
     families = sequences.lift_families(7)
     f1_rows = counting.f1_triangle(max_k + 7)
@@ -159,10 +162,10 @@ def check_pair_counts(cache: TallyCache, max_n: int) -> CheckResult:
     return _result("pair_counts_vs_oracle", f"n <= {max_n}, all u < v", bad)
 
 
-def check_efficient_counts(cache: TallyCache, max_n: int,
-                           max_size: int = 5) -> CheckResult:
-    """Efficient-domination formula against the census, for
-    max_n <= oracle.DETAIL_MAX_N."""
+def check_efficient_counts(cache: TallyCache, max_n: int) -> CheckResult:
+    """Efficient-domination formula against the census for sets A with
+    2 <= |A| <= 5, for max_n <= oracle.DETAIL_MAX_N."""
+    max_size = 5
     bad = []
     for n in range(2, max_n + 1):
         efficient = cache[n].efficient
@@ -202,9 +205,10 @@ def check_disconnected_formula(cache: TallyCache, max_n: int) -> CheckResult:
     return _result("disconnected_formula_vs_oracle", f"n <= {max_n}", bad)
 
 
-def check_combs(enumerate_n=(6, 8), construct_n=(10, 12)) -> CheckResult:
-    """Comb uniqueness by enumeration at small even n, comb validity
-    constructively at larger n."""
+def check_combs(max_n: int) -> CheckResult:
+    """Comb uniqueness by enumeration at n = 6, and 8 when max_n >= 8; comb
+    validity constructively at those n and at 10 and 12."""
+    enumerate_n = (6, 8) if max_n >= 8 else (6,)
     bad = []
     for n in enumerate_n:
         found = oracle.connected_gamma_permutations(n, n // 2)
@@ -214,7 +218,7 @@ def check_combs(enumerate_n=(6, 8), construct_n=(10, 12)) -> CheckResult:
         )])
         if sorted(p.image for p in found) != expected:
             bad.append(f"uniqueness at n={n}: found {len(found)}")
-    for n in tuple(enumerate_n) + tuple(construct_n):
+    for n in enumerate_n + (10, 12):
         for build in (constructions.comb_sigma, constructions.comb_tau):
             p = build(n)
             g = build_graph(p)
@@ -225,7 +229,7 @@ def check_combs(enumerate_n=(6, 8), construct_n=(10, 12)) -> CheckResult:
             if domination_number_exact(g).gamma != n // 2:
                 bad.append(f"{build.__name__}({n}) gamma != {n // 2}")
     return _result(
-        "comb_extremal_family", f"enumerated n in {tuple(enumerate_n)}, built up to 12", bad
+        "comb_extremal_family", f"enumerated n in {enumerate_n}, built up to 12", bad
     )
 
 
@@ -239,9 +243,10 @@ def random_connected_permutation(rng: random.Random, n: int) -> Permutation:
             return p
 
 
-def check_extension(samples: int = 500, seed: int = 20260824) -> CheckResult:
-    """Gamma-preserving insertion on seeded random connected inputs."""
-    rng = random.Random(seed)
+def check_extension() -> CheckResult:
+    """Gamma-preserving insertion on 500 seeded random connected inputs."""
+    samples = 500
+    rng = random.Random(20260824)
     bad = []
     for _ in range(samples):
         n = rng.randint(3, 9)
@@ -254,8 +259,9 @@ def check_extension(samples: int = 500, seed: int = 20260824) -> CheckResult:
     return _result("extension_preserves_gamma", f"{samples} seeded samples", bad)
 
 
-def check_connected_with_gamma(max_n: int = 12) -> CheckResult:
-    """Existence construction over the whole feasible (n, k) grid."""
+def check_connected_with_gamma() -> CheckResult:
+    """Existence construction over the whole feasible (n, k) grid, n <= 12."""
+    max_n = 12
     bad = []
     for n in range(2, max_n + 1):
         for k in range(1, n // 2 + 1):
@@ -268,14 +274,14 @@ def check_connected_with_gamma(max_n: int = 12) -> CheckResult:
     return _result("connected_with_gamma", f"n <= {max_n}, k <= n/2", bad)
 
 
-def check_heuristic(cache: TallyCache, max_n: int,
-                    soft_rate: float = 0.90) -> CheckResult:
+def check_heuristic(cache: TallyCache, max_n: int) -> CheckResult:
     """Heuristic output always dominates; optimality rate reported with a
-    soft gate (the clique procedure's tie-breaking is a free choice)."""
+    soft gate of 0.90 (tie-breaking in the clique procedure is free)."""
+    soft_rate = 0.90
     bad = []
     rates = []
     for n in range(1, max_n + 1):
-        q = cache[n].heuristic  # the census asserts domination
+        q = cache[n].heuristic  # the census checks domination
         rates.append(f"n={n}: {q.optimal}/{q.total - q.excluded}")
         if q.rate < soft_rate:
             bad.append(f"rate {q.rate:.3f} below soft gate at n={n}")
@@ -315,7 +321,7 @@ def check_invariant_suite(max_n: int) -> CheckResult:
     return _result("invariant_suite", f"n <= {max_n}", bad)
 
 
-def run_all(max_n: int = MAX_N, jobs: int = 1, samples: int = 500) -> VerificationRun:
+def run_all(max_n: int = MAX_N, jobs: int = 1) -> VerificationRun:
     """Every formula-versus-oracle comparison, in a fixed order, over S_n
     for n <= max_n <= MAX_N."""
     cache = TallyCache(jobs=jobs)
@@ -329,11 +335,8 @@ def run_all(max_n: int = MAX_N, jobs: int = 1, samples: int = 500) -> Verificati
     run.checks.append(check_efficient_counts(cache, detail_n))
     run.checks.append(check_singleton_formula(cache, max_n))
     run.checks.append(check_disconnected_formula(cache, max_n))
-    if max_n >= 8:
-        run.checks.append(check_combs())
-    else:
-        run.checks.append(check_combs(enumerate_n=(6,)))
-    run.checks.append(check_extension(samples=samples))
+    run.checks.append(check_combs(max_n))
+    run.checks.append(check_extension())
     run.checks.append(check_connected_with_gamma())
     run.checks.append(check_heuristic(cache, max_n))
     run.checks.append(check_invariant_suite(detail_n))

@@ -2,9 +2,10 @@
 at desk scale.
 
 Each test prints a single pass/fail line so a plain `pytest -s
-tests/test_acceptance.py` reads as a checklist.  The checks themselves live
-in permdom.verify; one cache of oracle censuses is shared across the
-module because n = 8 enumeration is the expensive part.
+tests/test_acceptance.py` reads as a checklist.  The checks and their
+ranges live in permdom.verify; this module is a view of one
+`verify.run_all` at the largest order it takes, run once for the module
+because n = 8 enumeration is the expensive part.
 """
 import pytest
 
@@ -12,11 +13,13 @@ from permdom import verify
 
 
 @pytest.fixture(scope="module")
-def cache():
-    return verify.TallyCache(jobs=1)
+def run():
+    return verify.run_all(max_n=verify.MAX_N)
 
 
-def report(number: int, check: verify.CheckResult) -> None:
+def report(number: int, name: str, run: verify.VerificationRun) -> None:
+    check = run.checks[number - 1]
+    assert check.name == name
     status = "PASS" if check.passed else "FAIL"
     line = f"criterion {number:2d} {check.name} ({check.range_note}): {status}"
     if check.detail:
@@ -25,53 +28,57 @@ def report(number: int, check: verify.CheckResult) -> None:
     assert check.passed, check.first_mismatch
 
 
-def test_01_recursions_vs_oracle(cache):
-    report(1, verify.check_recursions_vs_oracle(cache, 8))
+def test_run_all_has_thirteen_criteria(run):
+    assert len(run.checks) == 13
 
 
-def test_02_strong_fixed_point_identities(cache):
-    report(2, verify.check_strong_fixed_point_identity(cache, 8))
+def test_01_recursions_vs_oracle(run):
+    report(1, "recursions_vs_oracle", run)
 
 
-def test_03_closed_forms(cache):
-    report(3, verify.check_closed_forms(max_k=40))
+def test_02_strong_fixed_point_identities(run):
+    report(2, "strong_fixed_point_identity", run)
 
 
-def test_04_polynomial_lifting(cache):
-    report(4, verify.check_polynomial_lifting(max_k=40))
+def test_03_closed_forms(run):
+    report(3, "closed_forms_vs_recursion", run)
 
 
-def test_05_pair_counts(cache):
-    report(5, verify.check_pair_counts(cache, 7))
+def test_04_polynomial_lifting(run):
+    report(4, "polynomial_lifting", run)
 
 
-def test_06_efficient_counts(cache):
-    report(6, verify.check_efficient_counts(cache, 7, max_size=5))
+def test_05_pair_counts(run):
+    report(5, "pair_counts_vs_oracle", run)
 
 
-def test_07_singleton_formula(cache):
-    report(7, verify.check_singleton_formula(cache, 8))
+def test_06_efficient_counts(run):
+    report(6, "efficient_counts_vs_oracle", run)
 
 
-def test_08_disconnected_formula(cache):
-    report(8, verify.check_disconnected_formula(cache, 8))
+def test_07_singleton_formula(run):
+    report(7, "singleton_formula_vs_oracle", run)
 
 
-def test_09_comb_extremal_family(cache):
-    report(9, verify.check_combs(enumerate_n=(6, 8), construct_n=(10, 12)))
+def test_08_disconnected_formula(run):
+    report(8, "disconnected_formula_vs_oracle", run)
 
 
-def test_10_extension_preserves_gamma(cache):
-    report(10, verify.check_extension(samples=500))
+def test_09_comb_extremal_family(run):
+    report(9, "comb_extremal_family", run)
 
 
-def test_11_connected_with_gamma_grid(cache):
-    report(11, verify.check_connected_with_gamma(max_n=12))
+def test_10_extension_preserves_gamma(run):
+    report(10, "extension_preserves_gamma", run)
 
 
-def test_12_heuristic_quality(cache):
-    report(12, verify.check_heuristic(cache, 8, soft_rate=0.90))
+def test_11_connected_with_gamma_grid(run):
+    report(11, "connected_with_gamma", run)
 
 
-def test_13_structural_invariants(cache):
-    report(13, verify.check_invariant_suite(7))
+def test_12_heuristic_quality(run):
+    report(12, "heuristic_quality", run)
+
+
+def test_13_structural_invariants(run):
+    report(13, "invariant_suite", run)

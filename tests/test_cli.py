@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,7 +240,9 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_allow_big_raises_cap(capsys, monkeypatch):
-    monkeypatch.setenv("PERMDOM_MAX_N", "4")
+    from permdom import oracle
+
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 4)
     code, _, err = run(capsys, "oracle", "tally", "--n", "5")
     assert code == 1 and "OrderCapExceeded" in err
     payload = run_json(capsys, "oracle", "tally", "--n", "5", "--allow-big")
@@ -349,27 +355,19 @@ def test_tally_output_is_identical_across_jobs(capsys, monkeypatch):
         assert len(outputs) == 1 and outputs != {""}
 
 
-@pytest.mark.parametrize("value", ["-3", "0", "nine"])
-def test_bad_permdom_max_n_is_an_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("PERMDOM_MAX_N", value)
-    code, out, err = run(capsys, "oracle", "tally", "--n", "3")
-    assert code == 1 and out == ""
-    assert "BadSetting" in err and "PERMDOM_MAX_N" in err
+def _child_env() -> dict:
+    """The environment for a `python -m permdom.cli` child process: this
+    checkout's src on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": src}
 
 
 def test_closed_stdout_exits_without_traceback():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
     # About 190 kB of output: more than a pipe holds, so the writer is
     # still writing when the reader goes away.
     with subprocess.Popen(
         [sys.executable, "-m", "permdom.cli", "count", "g1", "--max-n", "300"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
     ) as proc:
         assert proc.stdout.readline().strip() == b"{"
         proc.stdout.close()
@@ -377,6 +375,53 @@ def test_closed_stdout_exits_without_traceback():
         code = proc.wait(timeout=60)
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
     assert code == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("max_n", ["3", "300"])  # within, and past, one buffer
+def test_full_stdout_is_a_typed_error(max_n):
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "permdom.cli", "count", "g1", "--max-n", max_n],
+            stdout=full, stderr=subprocess.PIPE, env=_child_env(), timeout=60)
+    assert done.returncode == 1
+    (line,) = done.stderr.decode().splitlines()
+    assert line.startswith("error: UnwritableOutput: cannot write stdout")
+
+
+def test_optimised_interpreter_prints_the_same_verify_bytes():
+    # Under -O every `assert` is gone; the checks that guard verify's
+    # figures must not be.
+    argv = ["-m", "permdom.cli", "verify", "--max-n", "4"]
+    done = [subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                           env=_child_env(), timeout=120)
+            for flags in ([], ["-O"])]
+    assert [d.returncode for d in done] == [0, 0]
+    assert done[0].stdout == done[1].stdout != b""
+
+
+# Each script breaks one result that a check re-verifies; `python -O`
+# strips every `assert`, so the check must raise on its own.
+@pytest.mark.parametrize("script, message", [
+    pytest.param(
+        "from permdom import oracle\n"
+        "from permdom.domination import DominationResult\n"
+        "oracle.heuristic_dominating_set = (\n"
+        "    lambda g: DominationResult(1, frozenset({1}), 'stub'))\n"
+        "oracle.census(4)\n",
+        "the heuristic's set does not dominate", id="census-heuristic"),
+    pytest.param(
+        "from permdom import constructions\n"
+        "from permdom.perm import parse_permutation\n"
+        "constructions.is_connected = lambda g: g.n == 2  # the input only\n"
+        "constructions.extend_preserving_gamma(parse_permutation('2,1'))\n",
+        "inserting 3 into [2,1] changed", id="extend-result"),
+])
+def test_checks_hold_under_optimisation(script, message):
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, env=_child_env(), timeout=60)
+    assert done.returncode == 1
+    assert f"AssertionError: {message}" in done.stderr.decode()
 
 
 def _golden_corpus():
@@ -803,14 +848,14 @@ def test_count_d_above_the_cap_fails_before_any_sweep(capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("swept S_n")
 
-    monkeypatch.setattr(oracle, "full_tally", no_sweep)
+    monkeypatch.setattr(oracle, "sweep", no_sweep)
     code, out, err = run(capsys, "count", "d", "--n", "12", "--k", "3")
     assert code == 1 and out == ""
     assert "OrderCapExceeded" in err and "n = 11" in err
-    monkeypatch.setenv("PERMDOM_MAX_N", "3")
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 3)
     code, _, err = run(capsys, "count", "d", "--n", "5", "--k", "2")
     assert code == 1 and "OrderCapExceeded" in err
     monkeypatch.undo()
-    monkeypatch.setenv("PERMDOM_MAX_N", "3")  # n - 1 at the cap still sweeps
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 3)  # n - 1 at the cap still sweeps
     assert run_json(capsys, "count", "d", "--n", "4", "--k", "2")["d"] == {
         "4,2": "7"}

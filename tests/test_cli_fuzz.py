@@ -5,7 +5,8 @@ an exit-0 call prints JSON or two-field CSV.
 Calls run in process, so an uncaught exception fails the test where a
 subprocess would print a traceback.  Sizes stay small enough that every
 well-formed request answers in milliseconds; the inputs that are accepted
-but exponential (skew sums of pairs, `comb_sigma(64)`) are left out.
+but exponential (skew sums of pairs, `comb_sigma(64)`) are left out.  Sizes
+just past an enumeration cap are drawn too: they must fail at once.
 """
 import csv
 import io
@@ -61,6 +62,14 @@ def argv_of(*parts):
                        for p in parts)).map(join)
 
 
+# Each fails with OrderCapExceeded before any sweep; past the caps a sweep
+# takes from 17 s (n = 10) to hours.
+PAST_A_CAP = st.one_of(
+    argv_of("oracle", "tally", "--n", size(10, 12), JOBS),
+    argv_of("oracle", "tally", "--n", "12", JOBS, "--allow-big"),
+    argv_of("count", "d", "--n", size(11, 12), "--k", size(1, 12), FORMAT),
+)
+
 COMMANDS = st.one_of(
     argv_of("analyze", perm_text(12)),
     argv_of("count", "g1", "--max-n", size(), FORMAT),
@@ -81,6 +90,7 @@ COMMANDS = st.one_of(
     argv_of("seq", "st", "--max-n", size(-1, 12), FORMAT),
     argv_of("seq", "lift", "--r", size(-1, MAX_LIFT_OFFSET + 1)),
     argv_of("verify", "--max-n", size(-1, 4), JOBS),
+    PAST_A_CAP,
 )
 
 
@@ -132,6 +142,14 @@ def test_generated_argv_gets_an_answer_or_a_typed_error(argv):
         assert_parses(out)
     elif code in (1, 2):
         assert out == "" and err
+
+
+@settings(max_examples=30, deadline=None)
+@given(PAST_A_CAP)
+def test_sizes_past_a_cap_fail_at_once(argv):
+    code, out, err, elapsed = call(argv)
+    assert code == 1 and out == "" and "OrderCapExceeded" in err
+    assert elapsed < CALL_SECONDS
 
 
 @settings(max_examples=15, deadline=None)

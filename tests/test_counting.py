@@ -121,17 +121,17 @@ def test_efficient_counts_match_brute_force(n):
 
 def small_c_table():
     # Connected counts for n <= 3, from the hand enumeration of S_1..S_3.
-    return CountTable(kind="c", entries={(1, 1): 1, (2, 1): 1, (3, 1): 3})
+    return CountTable(entries={(1, 1): 1, (2, 1): 1, (3, 1): 3})
 
 
 def test_disconnected_count_examples():
     table = small_c_table()
-    assert disconnected_count(2, 2, CountTable(kind="c", entries={(1, 1): 1})) == 1
+    assert disconnected_count(2, 2, CountTable(entries={(1, 1): 1})) == 1
     assert disconnected_count(3, 2, CountTable(
-        kind="c", entries={(1, 1): 1, (2, 1): 1})) == 2
+        entries={(1, 1): 1, (2, 1): 1})) == 2
     assert disconnected_count(4, 2, table) == 7
 
 
 def test_disconnected_count_missing_row():
     with pytest.raises(MissingTableEntry):
-        disconnected_count(4, 2, CountTable(kind="c", entries={(1, 1): 1}))
+        disconnected_count(4, 2, CountTable(entries={(1, 1): 1}))

@@ -260,7 +260,7 @@ def c_tables(draw):
         for j in draw(st.lists(st.integers(0, m + 1), min_size=1,
                                max_size=m + 2, unique=True)):
             entries[(m, j)] = draw(st.integers(0, 50))
-    return n, CountTable(kind="c", entries=entries)
+    return n, CountTable(entries=entries)
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,7 +273,7 @@ def test_disconnected_count_matches_the_composition_sum_hypothesis(case):
 
 
 def test_disconnected_count_checks_the_same_rows_as_the_composition_sum():
-    table = CountTable(kind="c", entries={(1, 1): 1, (3, 1): 3, (5, 2): 1})
+    table = CountTable(entries={(1, 1): 1, (3, 1): 3, (5, 2): 1})
     for n in range(7):
         for count in (disconnected_count, ref_disconnected_count):
             if n <= 2:
