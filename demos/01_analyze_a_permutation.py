@@ -6,13 +6,27 @@ Run:  python3 demos/01_analyze_a_permutation.py
 from permdom import (
     all_minimum_dominating_sets,
     build_graph,
-    classify_neighbors,
     components,
     domination_number_exact,
     heuristic_dominating_set,
     is_connected,
     parse_permutation,
 )
+from permdom.graph import vertices_of
+
+
+def classify_neighbors(g, d):
+    """Private neighbors (vertex -> the one member of d that dominates it)
+    and shared neighbors (dominated by two or more members of d)."""
+    private_of, shared = {}, []
+    for v in range(1, g.n + 1):
+        meet = vertices_of(g.closed_row(v)) & frozenset(d)
+        if len(meet) == 1:
+            private_of[v] = next(iter(meet))
+        elif meet:
+            shared.append(v)
+    return private_of, shared
+
 
 p = parse_permutation("4,6,1,3,7,2,5")
 g = build_graph(p)
@@ -28,9 +42,9 @@ print(f"canonical witness: {sorted(result.witness)}")
 print(f"all minimum dominating sets: "
       f"{[sorted(d) for d in all_minimum_dominating_sets(g)]}")
 
-cls = classify_neighbors(g, result.witness)
-print(f"private neighbors: {dict(sorted(cls.private_of.items()))}")
-print(f"shared neighbors: {sorted(cls.shared)}")
+private_of, shared = classify_neighbors(g, result.witness)
+print(f"private neighbors: {dict(sorted(private_of.items()))}")
+print(f"shared neighbors: {shared}")
 
 h = heuristic_dominating_set(g)
 print(f"\nclique heuristic found a set of size {h.gamma}: "

@@ -9,12 +9,17 @@ from permdom import (
     f1,
     full_tally,
     g1,
-    pair_count,
     pair_count_adjacent,
     pair_count_nonadjacent,
     singleton_dom_count,
 )
 from permdom.oracle import c_table
+
+
+def pair_count(n, u, v):
+    """Permutation graphs on n vertices dominated by {u, v}."""
+    return pair_count_nonadjacent(n, u, v) + pair_count_adjacent(n, u, v)
+
 
 print("g(n,1): graphs on n vertices with a dominating vertex")
 print("  n:      ", *range(9), sep="\t")

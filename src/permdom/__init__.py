@@ -19,16 +19,13 @@ from .counting import (
     efficient_dom_count,
     f1,
     g1,
-    pair_count,
     pair_count_adjacent,
     pair_count_nonadjacent,
     singleton_dom_count,
 )
 from .domination import (
     DominationResult,
-    NeighborClassification,
     all_minimum_dominating_sets,
-    classify_neighbors,
     count_minimum_dominating_sets,
     count_singleton_dominators,
     domination_number_exact,
@@ -41,7 +38,6 @@ from .domination import (
 from .graph import (
     PermutationGraph,
     build_graph,
-    closed_neighborhood,
     components,
     degree_bound_check,
     is_connected,
@@ -50,7 +46,6 @@ from .graph import (
 from .oracle import TallyReport, full_tally, heuristic_quality
 from .perm import (
     Permutation,
-    inverse,
     parse_permutation,
     reverse,
     strong_fixed_points,

@@ -94,19 +94,26 @@ def _drop_stdout() -> None:
     os.dup2(devnull, sys.stdout.fileno())
 
 
+def _write_stdout(text: str, end: str = "\n") -> None:
+    """`text` and `end` to stdout, flushed, so that a write that fails (a
+    full device) fails here; a reader that went away raises BrokenPipeError
+    for `main`.  `end` is a write of its own: a write larger than the pipe
+    that the reader closes part-way returns short without an error, and the
+    next write is the one that raises."""
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        _drop_stdout()
+        raise UnwritableOutput(
+            f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
 def _write(text: str, out: str | None) -> None:
-    """`text` and a newline to stdout, or to the file `out` if one is named.
-    Stdout is flushed here, so a write that fails (a full device) fails
-    here; a reader that went away raises BrokenPipeError for `main`."""
+    """`text` and a newline to stdout, or to the file `out` if one is named."""
     if not out:
-        try:
-            print(text, flush=True)
-        except BrokenPipeError:
-            raise
-        except OSError as exc:
-            _drop_stdout()
-            raise UnwritableOutput(
-                f"cannot write stdout: {exc.strerror or exc}") from exc
+        _write_stdout(text)
         return
     try:
         with open(out, "w") as fh:
@@ -323,8 +330,20 @@ def cmd_seq(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that help which cannot be written to stdout is an
+    `UnwritableOutput` error, where argparse drops it and exits 0.  Its
+    subparsers are of the same class."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _write_stdout(message, end="")
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permdom",
         description="Domination properties of permutation graphs.",
     )
@@ -423,8 +442,8 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        args = _parser.parse_args(argv)
         return args.func(args)
     except PermdomError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -225,11 +225,6 @@ def pair_count_adjacent(n: int, u: int, v: int) -> int:
             - whole * factorial(a) * factorial(c) // factorial(a + c + 2))
 
 
-def pair_count(n: int, u: int, v: int) -> int:
-    """Permutation graphs on n vertices dominated by {u, v}."""
-    return pair_count_nonadjacent(n, u, v) + pair_count_adjacent(n, u, v)
-
-
 def efficient_dom_count(n: int, a) -> int:
     """Permutation graphs on n vertices efficiently dominated by the
     strictly increasing vertex list a.

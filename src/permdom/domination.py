@@ -20,10 +20,9 @@ and reorders none.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import NotDominating
-from .graph import PermutationGraph, vertices_of
+from .graph import PermutationGraph
 from .perm import Permutation
 
 EXACT = "exact"
@@ -38,14 +37,6 @@ class DominationResult:
     witness: frozenset[int]
     method: str
     repaired: bool = False
-
-
-@dataclass(frozen=True)
-class NeighborClassification:
-    """Partition of the vertices relative to a dominating set."""
-
-    private_of: dict[int, int] = field(default_factory=dict)
-    shared: frozenset[int] = frozenset()
 
 
 def is_dominating(g: PermutationGraph, d) -> bool:
@@ -170,33 +161,14 @@ def singleton_dominators_by_position(p: Permutation) -> frozenset[int]:
     """Singleton dominators read off the one-line notation: {k} dominates
     exactly when k sits at position (n+1)-k with every larger value before
     it and every smaller value after it."""
-    n = p.n
-    out = []
-    for k in range(1, n + 1):
-        if p.position(k) != (n + 1) - k:
-            continue
-        if all(p.position(j) > p.position(k) for j in range(1, k)) and all(
-            p.position(i) < p.position(k) for i in range(k + 1, n + 1)
-        ):
-            out.append(k)
-    return frozenset(out)
-
-
-def classify_neighbors(g: PermutationGraph, d) -> NeighborClassification:
-    """Split vertices into private neighbors (closed neighborhood meets d in
-    exactly one vertex) and shared neighbors (in two or more)."""
-    dset = frozenset(d)
-    private_of: dict[int, int] = {}
-    shared = []
-    for v in range(1, g.n + 1):
-        meet = vertices_of(g.closed_row(v)) & dset
-        if not meet:
-            raise NotDominating(f"vertex {v} is not dominated")
-        if len(meet) == 1:
-            private_of[v] = next(iter(meet))
-        else:
-            shared.append(v)
-    return NeighborClassification(private_of=private_of, shared=frozenset(shared))
+    pos = p._positions  # pos[v - 1] = position of value v
+    n = len(pos)
+    return frozenset(
+        k for k, here in enumerate(pos, start=1)
+        if here == (n + 1) - k
+        and min(pos[:k - 1], default=n + 1) > here
+        and max(pos[k:], default=0) < here
+    )
 
 
 def is_efficient_dominating(g: PermutationGraph, d) -> bool:
@@ -213,27 +185,33 @@ def is_efficient_dominating(g: PermutationGraph, d) -> bool:
 def quick_rule_value_ends(p: Permutation) -> DominationResult | None:
     """{1, n} dominates when the values 1 and n are positionally adjacent
     and neither sits at the matching end of the one-line notation."""
-    n = p.n
-    if n < 2:
+    if not _value_ends(p.image):
         return None
-    if abs(p.position(1) - p.position(n)) != 1:
-        return None
-    if p(1) == n or p(n) == 1:
-        return None
-    return DominationResult(gamma=2, witness=frozenset({1, n}), method=QUICK_RULE_1N)
+    return DominationResult(gamma=2, witness=frozenset({1, p.n}), method=QUICK_RULE_1N)
+
+
+def _value_ends(image: tuple[int, ...]) -> bool:
+    """`quick_rule_value_ends`'s condition on the one-line notation."""
+    n = len(image)
+    return (n >= 2 and abs(image.index(1) - image.index(n)) == 1
+            and image[0] != n and image[-1] != 1)
 
 
 def quick_rule_position_ends(p: Permutation) -> DominationResult | None:
     """{p(1), p(n)} dominates when the two end values are consecutive
     integers and neither end holds the extreme value."""
-    n = p.n
-    if n < 2:
-        return None
-    if abs(p(1) - p(n)) != 1 or p(1) == n or p(n) == 1:
+    if not _position_ends(p.image):
         return None
     return DominationResult(
-        gamma=2, witness=frozenset({p(1), p(n)}), method=QUICK_RULE_ENDS
+        gamma=2, witness=frozenset({p(1), p(p.n)}), method=QUICK_RULE_ENDS
     )
+
+
+def _position_ends(image: tuple[int, ...]) -> bool:
+    """`quick_rule_position_ends`'s condition on the one-line notation."""
+    n = len(image)
+    return (n >= 2 and abs(image[0] - image[-1]) == 1
+            and image[0] != n and image[-1] != 1)
 
 
 def maximal_cliques(g: PermutationGraph) -> list[int]:
@@ -248,7 +226,11 @@ def maximal_cliques(g: PermutationGraph) -> list[int]:
     walking every such path lists each maximal clique once, with no dead
     ends.  The empty graph's one maximal clique is the empty set.
     """
-    image = g.source.image
+    return _maximal_cliques(g.source.image)
+
+
+def _maximal_cliques(image: tuple[int, ...]) -> list[int]:
+    """`maximal_cliques` of the graph of the one-line notation `image`."""
     n = len(image)
     bits = [1 << (v - 1) for v in image]
     below: list[list[int]] = []
@@ -289,16 +271,32 @@ def heuristic_dominating_set(g: PermutationGraph) -> DominationResult:
     (ties to the smallest vertex) and drop every clique containing it.  The
     result is verified and greedily repaired if it fails to dominate.
     """
-    cliques = maximal_cliques(g)
+    chosen, repaired = _heuristic_cover(maximal_cliques(g), g.closed_rows())
+    return DominationResult(
+        gamma=len(chosen),
+        witness=frozenset(chosen),
+        method=HEURISTIC,
+        repaired=repaired,
+    )
+
+
+def _heuristic_cover(cliques: list[int],
+                     rows: tuple[int, ...]) -> tuple[list[int], bool]:
+    """`heuristic_dominating_set` on a graph's maximal cliques and closed
+    rows (rows[v-1] = N[v] as a bitmask): the chosen vertices in the order
+    chosen, and whether the greedy repair had to add any.  The oracle's
+    census calls it on the rows of its sweep, with no graph object."""
+    n = len(rows)
+    full = (1 << n) - 1
     best = max((c.bit_count() for c in cliques), default=0)
     covered = 0
     for c in cliques:
         if c.bit_count() == best:
             covered |= c
-    uncovered = g.full_mask() ^ covered
+    uncovered = full ^ covered
     collected = [c for c in cliques if c & uncovered or c.bit_count() == best]
 
-    freq = [0] * g.n
+    freq = [0] * n
     for c in collected:
         _tally_bits(freq, c, 1)
     chosen: list[int] = []
@@ -314,8 +312,6 @@ def heuristic_dominating_set(g: PermutationGraph) -> DominationResult:
                 kept.append(c)
         collected = kept
 
-    rows = g.closed_rows()
-    full = g.full_mask()
     cover = 0
     for v in chosen:
         cover |= rows[v - 1]
@@ -325,13 +321,7 @@ def heuristic_dominating_set(g: PermutationGraph) -> DominationResult:
         v = gains.index(max(gains)) + 1
         chosen.append(v)
         cover |= rows[v - 1]
-
-    return DominationResult(
-        gamma=len(chosen),
-        witness=frozenset(chosen),
-        method=HEURISTIC,
-        repaired=repaired,
-    )
+    return chosen, repaired
 
 
 def _tally_bits(freq: list[int], mask: int, step: int) -> None:

@@ -108,11 +108,6 @@ def build_graph(p: Permutation) -> PermutationGraph:
     return PermutationGraph(n=n, rows=tuple(rows), source=p)
 
 
-def closed_neighborhood(g: PermutationGraph, v: int) -> frozenset[int]:
-    """N[v] = N(v) | {v}."""
-    return vertices_of(g.closed_row(v))
-
-
 def _prefix_split_points(p: Permutation) -> list[int]:
     """All k < n where the first k positions hold exactly the values 1..k."""
     out = []
@@ -173,10 +168,9 @@ def components(g: PermutationGraph) -> list[tuple[int, Permutation]]:
 def degree_bound_check(g: PermutationGraph) -> bool:
     """Displacement bound: every value's displacement |pos(i) - i| is at most
     its degree and has the same parity."""
-    p = g.source
-    for i in range(1, g.n + 1):
-        d = g.degree(i)
-        shift = p.position(i) - i
+    for i, (row, pos) in enumerate(zip(g.rows, g.source._positions), start=1):
+        d = row.bit_count()
+        shift = pos - i
         if abs(shift) > d or (shift - d) % 2 != 0:
             return False
     return True

@@ -17,8 +17,10 @@ exhaustive ground truth; the pruned search in `domination`, which
 
 Three loops read the sweep: `_tally_chunk` for `oracle tally`, which pays
 for nothing else; `_census_chunk`, one pass that gathers every fact
-`verify` reads; and the listing `connected_gamma_permutations`.  (`verify`'s
-invariant suite has its own, as it rebuilds each graph to check the sweep.)
+`verify` reads, running the hand heuristic and the quick rules on the
+sweep's image and rows with no `Permutation` or graph object per leaf; and
+the listing `connected_gamma_permutations`.  (`verify`'s invariant suite
+has its own, as it rebuilds each graph to check the sweep.)
 
 A sweep can be restricted to the permutations that begin with given
 values.  Parallel runs sweep one subtree per ordered pair of leading
@@ -37,14 +39,14 @@ from operator import add
 
 from .counting import CountTable
 from .domination import (
-    heuristic_dominating_set,
-    is_dominating,
-    quick_rule_position_ends,
-    quick_rule_value_ends,
+    _heuristic_cover,
+    _maximal_cliques,
+    _position_ends,
+    _value_ends,
 )
 from .errors import OrderCapExceeded
 # build_graph stays bound here: the benchmark's tracer wraps it by this name.
-from .graph import PermutationGraph, build_graph  # noqa: F401
+from .graph import build_graph  # noqa: F401
 from .perm import Permutation
 
 DEFAULT_CAP = 9
@@ -255,8 +257,10 @@ def _tally_chunk(args) -> Counter:
 def _census_chunk(args) -> Census:
     """The census of the permutations of [n] that begin with `lead`.  A set
     dominates efficiently when it meets every closed neighborhood once.  The
-    heuristic's output is checked to dominate; `optimal` counts where it has
-    minimum size, among the permutations no end-pattern quick rule matches."""
+    heuristic runs on the sweep's image and rows, with no graph object, and
+    its output is checked to dominate: the or of its chosen rows must be
+    full.  `optimal` counts where it has minimum size, among the
+    permutations no end-pattern quick rule matches."""
     n, lead = args
     _, size = _subset_tables(n)
     detail = n <= DETAIL_MAX_N
@@ -286,14 +290,16 @@ def _census_chunk(args) -> Census:
                 bit = hits & -hits
                 hits ^= bit
                 efficient[bit.bit_length() - 1] += 1
-        p = Permutation(image)
-        g = PermutationGraph(n, tuple(r ^ 1 << i for i, r in enumerate(rows)), p)
-        result = heuristic_dominating_set(g)
-        if not is_dominating(g, result.witness):
-            raise AssertionError(f"the heuristic's set does not dominate [{p}]")
-        if quick_rule_value_ends(p) or quick_rule_position_ends(p):
+        chosen, _ = _heuristic_cover(_maximal_cliques(image), rows)
+        cover = 0
+        for v in chosen:
+            cover |= rows[v - 1]
+        if cover != full:
+            raise AssertionError("the heuristic's set does not dominate "
+                                 f"[{','.join(map(str, image))}]")
+        if _value_ends(image) or _position_ends(image):
             excluded += 1
-        elif result.gamma == gamma:
+        elif len(chosen) == gamma:
             optimal += 1
     quality = HeuristicQuality(sum(tally.values()), excluded, optimal)
     return Census(tally, singletons, pairs, efficient, quality)

@@ -93,11 +93,6 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(tuple(values))
 
 
-def inverse(p: Permutation) -> Permutation:
-    """The permutation q with q(p(i)) = i for all i."""
-    return Permutation(p._positions)
-
-
 def reverse(p: Permutation) -> Permutation:
     """Reversed one-line notation: r(i) = p(n+1-i)."""
     return Permutation(p.image[::-1])
@@ -110,14 +105,13 @@ def strong_fixed_points(p: Permutation) -> frozenset[int]:
     >>> sorted(strong_fixed_points(parse_permutation("1,3,2")))
     [1]
     """
-    n = p.n
     out = []
     max_before = 0
-    for k in range(1, n + 1):
-        pos = p.position(k)
+    for k, pos in enumerate(p._positions, start=1):
         # Both conditions together force pos == k, so the suffix check
         # reduces to the prefix positions filling {1..k-1} exactly.
         if max_before < pos == k:
             out.append(k)
-        max_before = max(max_before, pos)
+        if pos > max_before:
+            max_before = pos
     return frozenset(out)

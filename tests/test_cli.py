@@ -389,6 +389,27 @@ def test_full_stdout_is_a_typed_error(max_n):
     assert line.startswith("error: UnwritableOutput: cannot write stdout")
 
 
+def test_help_still_prints_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["count", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: permdom count")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["count", "--help"],
+                                  ["verify", "--help"]])
+def test_help_to_a_full_stdout_is_a_typed_error(argv):
+    # argparse drops an OSError from writing its help and exits 0.
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "permdom.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE,
+                              env=_child_env(), timeout=60)
+    assert done.returncode == 1
+    (line,) = done.stderr.decode().splitlines()
+    assert line.startswith("error: UnwritableOutput: cannot write stdout")
+
+
 def test_optimised_interpreter_prints_the_same_verify_bytes():
     # Under -O every `assert` is gone; the checks that guard verify's
     # figures must not be.
@@ -405,9 +426,7 @@ def test_optimised_interpreter_prints_the_same_verify_bytes():
 @pytest.mark.parametrize("script, message", [
     pytest.param(
         "from permdom import oracle\n"
-        "from permdom.domination import DominationResult\n"
-        "oracle.heuristic_dominating_set = (\n"
-        "    lambda g: DominationResult(1, frozenset({1}), 'stub'))\n"
+        "oracle._heuristic_cover = lambda cliques, rows: ([1], False)\n"
         "oracle.census(4)\n",
         "the heuristic's set does not dominate", id="census-heuristic"),
     pytest.param(

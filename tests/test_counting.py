@@ -9,7 +9,6 @@ from permdom.counting import (
     efficient_dom_count,
     f1,
     g1,
-    pair_count,
     pair_count_adjacent,
     pair_count_nonadjacent,
     singleton_dom_count,
@@ -18,6 +17,11 @@ from permdom.domination import is_dominating, is_efficient_dominating
 from permdom.errors import IndexOutOfRange, MissingTableEntry, NotSorted
 from permdom.graph import build_graph
 from permdom.perm import Permutation
+
+
+def pair_count(n: int, u: int, v: int) -> int:
+    """Permutation graphs on n vertices dominated by {u, v}."""
+    return pair_count_nonadjacent(n, u, v) + pair_count_adjacent(n, u, v)
 
 
 def brute_pair_split(n, u, v):

@@ -1,3 +1,4 @@
+from dataclasses import dataclass, field
 from itertools import combinations, permutations as perms, product
 
 import pytest
@@ -8,7 +9,6 @@ from permdom.constructions import comb_sigma, comb_tau, is_comb
 from permdom.domination import (
     _minimum_cover,
     all_minimum_dominating_sets,
-    classify_neighbors,
     count_minimum_dominating_sets,
     count_singleton_dominators,
     domination_number_exact,
@@ -23,6 +23,31 @@ from permdom.domination import (
 from permdom.errors import NotDominating
 from permdom.graph import build_graph, is_connected, vertices_of
 from permdom.perm import Permutation, decreasing, identity, parse_permutation
+
+
+@dataclass(frozen=True)
+class NeighborClassification:
+    """Partition of the vertices relative to a dominating set."""
+
+    private_of: dict[int, int] = field(default_factory=dict)
+    shared: frozenset[int] = frozenset()
+
+
+def classify_neighbors(g, d) -> NeighborClassification:
+    """Split vertices into private neighbors (closed neighborhood meets d in
+    exactly one vertex) and shared neighbors (in two or more)."""
+    dset = frozenset(d)
+    private_of: dict[int, int] = {}
+    shared = []
+    for v in range(1, g.n + 1):
+        meet = vertices_of(g.closed_row(v)) & dset
+        if not meet:
+            raise NotDominating(f"vertex {v} is not dominated")
+        if len(meet) == 1:
+            private_of[v] = next(iter(meet))
+        else:
+            shared.append(v)
+    return NeighborClassification(private_of=private_of, shared=frozenset(shared))
 
 
 def graph(text):

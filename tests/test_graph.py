@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from permdom.errors import OrderTooLarge, VertexOutOfRange
 from permdom.graph import (
     build_graph,
-    closed_neighborhood,
     components,
     degree_bound_check,
     is_connected,
@@ -16,6 +15,11 @@ from permdom.graph import (
     vertices_of,
 )
 from permdom.perm import Permutation, decreasing, identity, parse_permutation
+
+
+def closed_neighborhood(g, v: int) -> frozenset[int]:
+    """N[v] = N(v) | {v}."""
+    return vertices_of(g.closed_row(v))
 
 
 def graph(text):

