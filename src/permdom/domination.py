@@ -20,6 +20,7 @@ and reorders none.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graph import PermutationGraph
@@ -190,7 +191,7 @@ def quick_rule_value_ends(p: Permutation) -> DominationResult | None:
     return DominationResult(gamma=2, witness=frozenset({1, p.n}), method=QUICK_RULE_1N)
 
 
-def _value_ends(image: tuple[int, ...]) -> bool:
+def _value_ends(image: Sequence[int]) -> bool:
     """`quick_rule_value_ends`'s condition on the one-line notation."""
     n = len(image)
     return (n >= 2 and abs(image.index(1) - image.index(n)) == 1
@@ -207,7 +208,7 @@ def quick_rule_position_ends(p: Permutation) -> DominationResult | None:
     )
 
 
-def _position_ends(image: tuple[int, ...]) -> bool:
+def _position_ends(image: Sequence[int]) -> bool:
     """`quick_rule_position_ends`'s condition on the one-line notation."""
     n = len(image)
     return (n >= 2 and abs(image[0] - image[-1]) == 1
@@ -229,7 +230,7 @@ def maximal_cliques(g: PermutationGraph) -> list[int]:
     return _maximal_cliques(g.source.image)
 
 
-def _maximal_cliques(image: tuple[int, ...]) -> list[int]:
+def _maximal_cliques(image: Sequence[int]) -> list[int]:
     """`maximal_cliques` of the graph of the one-line notation `image`."""
     n = len(image)
     bits = [1 << (v - 1) for v in image]
@@ -281,7 +282,7 @@ def heuristic_dominating_set(g: PermutationGraph) -> DominationResult:
 
 
 def _heuristic_cover(cliques: list[int],
-                     rows: tuple[int, ...]) -> tuple[list[int], bool]:
+                     rows: Sequence[int]) -> tuple[list[int], bool]:
     """`heuristic_dominating_set` on a graph's maximal cliques and closed
     rows (rows[v-1] = N[v] as a bitmask): the chosen vertices in the order
     chosen, and whether the greedy repair had to add any.  The oracle's
@@ -294,7 +295,9 @@ def _heuristic_cover(cliques: list[int],
         if c.bit_count() == best:
             covered |= c
     uncovered = full ^ covered
-    collected = [c for c in cliques if c & uncovered or c.bit_count() == best]
+    # The empty graph's one clique is empty: there is nothing to choose.
+    collected = ([c for c in cliques if c & uncovered or c.bit_count() == best]
+                 if best else [])
 
     freq = [0] * n
     for c in collected:

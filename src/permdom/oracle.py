@@ -2,10 +2,15 @@
 
 Everything the counting formulas predict is re-derived here by enumerating
 all n! permutations and measuring each graph directly.  One engine,
-`sweep`, does the enumerating: a depth-first search over prefixes in
+`sweep`, does the enumerating: a depth-first walk over prefixes in
 lexicographic order that updates each permutation's closed neighborhoods,
 connectivity, strong fixed points and singleton dominators in O(1) per
-placed value, instead of building every graph from scratch.
+placed value, instead of building every graph from scratch.  The walk
+calls a visitor once per permutation with its own live `image` and `rows`
+lists, which the next placement overwrites, so a visitor copies what it
+keeps.  The last value needs no search: the loop that places the
+next-to-last value places the one value left in line and calls the
+visitor, with no deeper call.
 
 The sweep also sieves the 2^n vertex subsets: it carries a 2^n-bit mask
 whose bit T is set while subset T meets every closed neighborhood placed so
@@ -15,12 +20,13 @@ member.  Every subset is tested and none is skipped, which makes the sieve
 exhaustive ground truth; the pruned search in `domination`, which
 `analyze` needs beyond the oracle's orders, is its differential oracle.
 
-Three loops read the sweep: `_tally_chunk` for `oracle tally`, which pays
+The readers are visitors: `_tally_chunk` for `oracle tally`, which pays
 for nothing else; `_census_chunk`, one pass that gathers every fact
 `verify` reads, running the hand heuristic and the quick rules on the
 sweep's image and rows with no `Permutation` or graph object per leaf; and
-the listing `connected_gamma_permutations`.  (`verify`'s invariant suite
-has its own, as it rebuilds each graph to check the sweep.)
+the listings `connected_gamma_permutations` and `iter_permutations`.
+(`verify`'s invariant suite has its own, as it rebuilds each graph to
+check the sweep.)
 
 A sweep can be restricted to the permutations that begin with given
 values.  Parallel runs sweep one subtree per ordered pair of leading
@@ -179,17 +185,19 @@ def _gamma(dom: int, size: tuple[int, ...]) -> int:
     raise AssertionError("every graph is dominated by its full vertex set")
 
 
-def sweep(n: int, lead=()):
-    """Every permutation of [n] that begins with the values in `lead`, in
-    lexicographic order, with the facts the oracle tallies.
+def sweep(n: int, visit, lead=()) -> None:
+    """Call `visit(image, rows, connected, strong, singles, dom)` once for
+    every permutation of [n] that begins with the values in `lead`, in
+    lexicographic order.
 
-    Yields (image, rows, connected, strong, singles, dom): the one-line
-    notation, the closed neighborhoods (rows[v-1] = N[v] as a bitmask),
-    whether the graph is connected, the number of strong fixed points, the
-    number of singleton dominators, and the dominating sets as a 2^n-bit
-    mask (bit T is set when the vertex subset T dominates; vertex v is bit
-    v-1 of T).  A lead that repeats a value or names one above n yields
-    nothing.
+    The arguments are the one-line notation, the closed neighborhoods
+    (rows[v-1] = N[v] as a bitmask), whether the graph is connected, the
+    number of strong fixed points, the number of singleton dominators, and
+    the dominating sets as a 2^n-bit mask (bit T is set when the vertex
+    subset T dominates; vertex v is bit v-1 of T).  `image` and `rows` are
+    the walk's own lists, overwritten as it moves on: a visitor that keeps
+    them must copy them.  A lead that repeats a value or names one above n
+    gives no call.
 
     Values are placed one position at a time.  When v is placed after the
     prefix set P, N[v] is already final: smaller values are neighbors
@@ -200,47 +208,80 @@ def sweep(n: int, lead=()):
     it is {1..k-1}.  Since the row is final, the sieve mask is cut to the
     subsets that meet it, dom &= meet[N[v]], and after the last value it
     holds the subsets that meet every closed neighborhood.
+
+    Once n - 1 values are placed only one is left, so the loop that places
+    position n - 1 also places position n in line and calls `visit`, with
+    no deeper call.  The last value passes every test the others do: it
+    must match the lead; the prefix before it is {1..n-1}, a split, exactly
+    when it is n, and then it is a strong fixed point; and its row counts
+    towards the singletons and cuts the sieve mask.
     """
     if n == 0:
-        yield (), (), True, 0, 0, 1  # the empty set dominates the empty graph
+        visit([], [], True, 0, 0, 1)  # the empty set dominates the empty graph
         return
     _check_cap(n, HARD_CAP)  # the sieve tables hold 2^n masks of 2^n bits
     meet, _ = _subset_tables(n)
     full = (1 << n) - 1
+    # allowed[d]: the values position d + 1 may hold, as a bitmask.
+    allowed = [full] * n
+    for d, v in enumerate(lead[:n]):
+        allowed[d] = 1 << (v - 1)
+    every = (1 << (1 << n)) - 1  # all 2^n subsets, before any row is placed
+    if n == 1:  # no position n - 1 to place the last value from
+        if allowed[0] & 1:
+            visit([1], [1], True, 1, 1, every & meet[1])
+        return
     image = [0] * n
     rows = [0] * n
+    top = 1 << (n - 1)  # the bit of value n
+    end_allowed = allowed[n - 1]
 
     def place(d, prefix, disconnected, strong, singles, dom):
         low = (1 << d) - 1
         split = (low << 1) | 1
-        free = full ^ prefix
-        if d < len(lead):
-            free &= 1 << (lead[d] - 1)
+        free = (full ^ prefix) & allowed[d]
+        if d + 2 < n:
+            while free:
+                bit = free & -free
+                free ^= bit
+                v = bit.bit_length()
+                row = prefix ^ ((bit << 1) - 1)
+                image[d] = v
+                rows[v - 1] = row
+                after = prefix | bit
+                place(d + 1, after, disconnected or after == split,
+                      strong + (prefix == low and bit == low + 1),
+                      singles + (row == full), dom & meet[row])
+            return
         while free:
             bit = free & -free
             free ^= bit
+            after = prefix | bit
+            end = full ^ after  # the one value left for position n
+            if not end & end_allowed:
+                continue
             v = bit.bit_length()
             row = prefix ^ ((bit << 1) - 1)
             image[d] = v
             rows[v - 1] = row
-            strong_now = strong + (prefix == low and bit == low + 1)
-            singles_now = singles + (row == full)
-            dom_now = dom & meet[row]
-            if d + 1 == n:
-                yield (tuple(image), tuple(rows), not disconnected,
-                       strong_now, singles_now, dom_now)
-            else:
-                yield from place(d + 1, prefix | bit,
-                                 disconnected or prefix | bit == split,
-                                 strong_now, singles_now, dom_now)
+            w = end.bit_length()
+            end_row = after ^ ((end << 1) - 1)
+            image[d + 1] = w
+            rows[w - 1] = end_row
+            visit(image, rows, not (disconnected or after == split),
+                  strong + (prefix == low and bit == low + 1) + (end == top),
+                  singles + (row == full) + (end_row == full),
+                  dom & meet[row] & meet[end_row])
 
-    every = (1 << (1 << n)) - 1  # all 2^n subsets, before any row is placed
-    yield from place(0, 0, False, 0, 0, every)
+    place(0, 0, False, 0, 0, every)
 
 
-def iter_permutations(n: int):
-    """Permutations of [n] in lexicographic order, as Permutation values."""
-    return (Permutation(image) for image, *_ in sweep(n))
+def iter_permutations(n: int) -> list[Permutation]:
+    """Permutations of [n] in lexicographic order, as a list of Permutation
+    values."""
+    out = []
+    sweep(n, lambda image, *_: out.append(Permutation(tuple(image))))
+    return out
 
 
 def _tally_chunk(args) -> Counter:
@@ -248,10 +289,13 @@ def _tally_chunk(args) -> Counter:
     number of permutations, over the ones that begin with `lead`."""
     n, lead = args
     _, size = _subset_tables(n)
-    return Counter(
-        (_gamma(dom, size), connected, singles, strong)
-        for _, _, connected, strong, singles, dom in sweep(n, lead)
-    )
+    counts = Counter()
+
+    def visit(image, rows, connected, strong, singles, dom):
+        counts[_gamma(dom, size), connected, singles, strong] += 1
+
+    sweep(n, visit, lead)
+    return counts
 
 
 def _census_chunk(args) -> Census:
@@ -269,7 +313,9 @@ def _census_chunk(args) -> Census:
     full = (1 << n) - 1
     tally, singletons, pairs, efficient = Counter(), Counter(), Counter(), Counter()
     excluded = optimal = 0
-    for image, rows, connected, strong, singles, dom in sweep(n, lead):
+
+    def visit(image, rows, connected, strong, singles, dom):
+        nonlocal excluded, optimal
         gamma = _gamma(dom, size)
         tally[gamma, connected, singles, strong] += 1
         if singles:
@@ -301,6 +347,8 @@ def _census_chunk(args) -> Census:
             excluded += 1
         elif len(chosen) == gamma:
             optimal += 1
+
+    sweep(n, visit, lead)
     quality = HeuristicQuality(sum(tally.values()), excluded, optimal)
     return Census(tally, singletons, pairs, efficient, quality)
 
@@ -370,11 +418,14 @@ def connected_gamma_permutations(n: int, k: int):
     k, in lexicographic order."""
     _check_cap(n, DEFAULT_CAP)
     _, size = _subset_tables(n)
-    return [
-        Permutation(image)
-        for image, _, connected, _, _, dom in sweep(n)
-        if connected and _gamma(dom, size) == k
-    ]
+    found = []
+
+    def visit(image, rows, connected, strong, singles, dom):
+        if connected and _gamma(dom, size) == k:
+            found.append(Permutation(tuple(image)))
+
+    sweep(n, visit)
+    return found
 
 
 def heuristic_quality(n: int) -> HeuristicQuality:

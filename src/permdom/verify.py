@@ -290,34 +290,45 @@ def check_heuristic(cache: TallyCache, max_n: int) -> CheckResult:
     )
 
 
+class _FirstMismatch(Exception):
+    """Ends the invariant suite's walk at the first permutation that fails."""
+
+
 def check_invariant_suite(max_n: int) -> CheckResult:
     """Degree/parity bound, prefix-connectivity equivalence, component
     reconstruction, singleton-position characterization, the
     strong-fixed-point reverse bijection, and the sweep engine's
-    incremental facts against the graph built from scratch, exhaustively."""
+    incremental facts against the graph built from scratch, exhaustively.
+    It stops at the first permutation that fails."""
     bad = []
-    for n in range(1, max_n + 1):
-        for image, rows, connected, strong, singles, _ in oracle.sweep(n):
-            p = Permutation(image)
-            g = build_graph(p)
-            if not degree_bound_check(g):
-                bad.append(f"degree bound [{p}]")
-            if not (connected == is_connected(g) == is_connected_search(g)):
-                bad.append(f"connectivity [{p}]")
-            if rows != g.closed_rows() or strong != len(strong_fixed_points(p)):
-                bad.append(f"sweep facts [{p}]")
-            rebuilt = []
-            for offset, tau in components(g):
-                rebuilt.extend(v + offset for v in tau.image)
-            if tuple(rebuilt) != p.image:
-                bad.append(f"components [{p}]")
-            direct = count_singleton_dominators(g)
-            if not (singles == direct == len(singleton_dominators_by_position(p))):
-                bad.append(f"singleton characterization [{p}]")
-            if direct != len(strong_fixed_points(reverse(p))):
-                bad.append(f"reverse bijection [{p}]")
-            if bad:
-                return _result("invariant_suite", f"n <= {max_n}", bad)
+
+    def visit(image, rows, connected, strong, singles, _):
+        p = Permutation(tuple(image))
+        g = build_graph(p)
+        if not degree_bound_check(g):
+            bad.append(f"degree bound [{p}]")
+        if not (connected == is_connected(g) == is_connected_search(g)):
+            bad.append(f"connectivity [{p}]")
+        if tuple(rows) != g.closed_rows() or strong != len(strong_fixed_points(p)):
+            bad.append(f"sweep facts [{p}]")
+        rebuilt = []
+        for offset, tau in components(g):
+            rebuilt.extend(v + offset for v in tau.image)
+        if tuple(rebuilt) != p.image:
+            bad.append(f"components [{p}]")
+        direct = count_singleton_dominators(g)
+        if not (singles == direct == len(singleton_dominators_by_position(p))):
+            bad.append(f"singleton characterization [{p}]")
+        if direct != len(strong_fixed_points(reverse(p))):
+            bad.append(f"reverse bijection [{p}]")
+        if bad:
+            raise _FirstMismatch
+
+    try:
+        for n in range(1, max_n + 1):
+            oracle.sweep(n, visit)
+    except _FirstMismatch:
+        pass
     return _result("invariant_suite", f"n <= {max_n}", bad)
 
 

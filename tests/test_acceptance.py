@@ -82,3 +82,21 @@ def test_12_heuristic_quality(run):
 
 def test_13_structural_invariants(run):
     report(13, "invariant_suite", run)
+
+
+def test_structural_invariants_stop_at_the_first_failure(monkeypatch):
+    # One helper made wrong on two permutations of [5]: the suite fails,
+    # names the lexicographically first of them and walks no further.
+    wrong = {(2, 1, 5, 3, 4), (4, 1, 2, 5, 3)}
+    real = verify.degree_bound_check
+    seen = []
+
+    def wrong_on_two(g):
+        seen.append(g.source.image)
+        return real(g) and g.source.image not in wrong
+
+    monkeypatch.setattr(verify, "degree_bound_check", wrong_on_two)
+    check = verify.check_invariant_suite(5)
+    assert check.passed is False
+    assert check.first_mismatch == "degree bound [2,1,5,3,4]"
+    assert seen[-1] == (2, 1, 5, 3, 4)

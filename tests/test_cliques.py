@@ -18,8 +18,8 @@ from permdom.domination import (
     maximal_cliques,
 )
 from permdom.graph import PermutationGraph, build_graph
-from permdom.oracle import sweep
 from permdom.perm import Permutation
+from walk import leaves
 
 
 def ref_maximal_cliques(g: PermutationGraph) -> list[int]:
@@ -115,7 +115,7 @@ def skew_pairs(n: int) -> Permutation:
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_permutation_of_order_at_most_8(n):
-    for image, rows, *_ in sweep(n):
+    for image, rows, *_ in leaves(n):
         open_rows = tuple(row ^ (1 << i) for i, row in enumerate(rows))
         assert_matches_reference(PermutationGraph(n, open_rows, Permutation(image)))
 

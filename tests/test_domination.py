@@ -139,11 +139,12 @@ def test_witness_and_minimum_sets_match_plain_enumeration_beyond_7(image):
 
 
 def test_minimum_cover_matches_plain_enumeration_on_the_s8_sweep():
-    from permdom.oracle import _gamma, _subset_tables, sweep
+    from permdom.oracle import _gamma, _subset_tables
+    from walk import leaves
 
     full = (1 << 8) - 1
     _, size = _subset_tables(8)
-    for _, rows, *_, dom in sweep(8):
+    for _, rows, *_, dom in leaves(8):
         cover = _minimum_cover(rows, full)
         assert cover == first_cover_by_plain_enumeration(rows, full)
         assert _gamma(dom, size) == len(cover)

@@ -18,15 +18,34 @@ from permdom.oracle import (
     heuristic_quality,
     iter_permutations,
     singleton_domination_tally,
-    sweep,
 )
+from walk import leaves
 
 
 def test_sweep_is_lexicographic():
     for n in range(7):
         expected = list(permutations(range(1, n + 1)))
+        # The listings copy the walk's live lists: kept as they are, every
+        # entry would show the last permutation.
         assert [p.image for p in iter_permutations(n)] == expected
-        assert [image for image, *_ in sweep(n)] == expected
+        assert [image for image, *_ in leaves(n)] == expected
+
+
+def test_connected_gamma_listing_is_lexicographic():
+    from permdom.domination import domination_number_exact
+    from permdom.graph import build_graph, is_connected
+    from permdom.oracle import connected_gamma_permutations
+    from permdom.perm import Permutation
+
+    for n in range(1, 7):
+        facts = []
+        for image in permutations(range(1, n + 1)):
+            g = build_graph(Permutation(image))
+            facts.append((image, is_connected(g), domination_number_exact(g).gamma))
+        for k in range(1, n + 1):
+            assert [p.image for p in connected_gamma_permutations(n, k)] == [
+                image for image, connected, gamma in facts
+                if connected and gamma == k]
 
 
 def test_full_tally_hand_enumerations():
@@ -177,7 +196,7 @@ def test_sweep_matches_graphs_built_from_scratch():
     for n in range(1, 8):
         full = (1 << n) - 1
         _, size = _subset_tables(n)
-        visits = list(sweep(n))
+        visits = leaves(n)
         assert len(visits) == factorial(n)
         for expected, visit in zip(permutations(range(1, n + 1)), visits,
                                    strict=True):
@@ -206,7 +225,7 @@ def test_sieve_mask_is_exactly_the_dominating_sets():
     from permdom.perm import Permutation
 
     for n in range(1, 7):
-        for image, *_, dom in sweep(n):
+        for image, *_, dom in leaves(n):
             g = build_graph(Permutation(image))
             assert dom == sum(1 << t for t in range(1 << n)
                               if is_dominating(g, vertices_of(t)))
@@ -225,11 +244,16 @@ def test_subset_tables_by_definition():
 
 def test_sieve_on_the_smallest_orders():
     assert _subset_tables(0) == ((0,), (1,))
-    assert list(sweep(0)) == [((), (), True, 0, 0, 1)]
+    assert leaves(0) == [((), (), True, 0, 0, 1)]
     assert _subset_tables(1) == ((0, 0b10), (0b1, 0b10))
     # One vertex: of the subsets {} and {1}, only {1} dominates.
-    assert list(sweep(1)) == [((1,), (1,), True, 1, 1, 0b10)]
+    assert leaves(1) == [((1,), (1,), True, 1, 1, 0b10)]
     assert _gamma(0b10, _subset_tables(1)[1]) == 1
+    # Two vertices, subsets {}, {1}, {2}, {1,2} as bits 0-3.  The identity
+    # has no edge: two strong fixed points, and only {1,2} dominates.  2,1
+    # is an edge: both vertices dominate alone.
+    assert leaves(2) == [((1, 2), (0b01, 0b10), False, 2, 0, 0b1000),
+                         ((2, 1), (0b11, 0b11), True, 0, 2, 0b1110)]
 
 
 def test_sweep_above_the_hard_cap_fails_before_building_tables():
@@ -237,17 +261,20 @@ def test_sweep_above_the_hard_cap_fails_before_building_tables():
 
     built = oracle._subset_tables.cache_info().currsize
     with pytest.raises(OrderCapExceeded):
-        next(sweep(oracle.HARD_CAP + 1))
+        leaves(oracle.HARD_CAP + 1)
     assert oracle._subset_tables.cache_info().currsize == built
 
 
 def test_sweep_leads_concatenate_to_the_whole_sweep():
-    for n in (4, 5, 6, 7):
-        whole = list(sweep(n))
-        for length in (1, 2):
+    # Leads of every length for n <= 6, n - 1 and n among them: the walk
+    # places the last value in line, so a lead that reaches it must filter
+    # it there.  At n = 7, the leads the pool splits by.
+    for n in range(8):
+        whole = leaves(n)
+        for length in range(n + 1) if n <= 6 else (1, 2):
             leads = list(permutations(range(1, n + 1), length))
             # Every field matches, the sieve mask `dom` included.
-            assert [v for lead in leads for v in sweep(n, lead)] == whole
+            assert [v for lead in leads for v in leaves(n, lead)] == whole
             merged = sum((_tally_chunk((n, lead)) for lead in leads), Counter())
             assert merged == _tally_chunk((n, ()))
 
@@ -263,8 +290,12 @@ def test_census_chunks_add_up_to_the_whole_census():
 
 def test_sweep_of_an_impossible_lead_is_empty():
     for lead in ((1, 1), (2, 3, 2), (5,), (1, 6)):
-        assert list(sweep(4, lead)) == []
-    assert [image for image, *_ in sweep(4, (2, 4, 1, 3))] == [(2, 4, 1, 3)]
+        assert leaves(4, lead) == []
+    assert [image for image, *_ in leaves(4, (2, 4, 1, 3))] == [(2, 4, 1, 3)]
+    # Only the last value is impossible: the one value left is 3.
+    for lead in ((2, 4, 1, 1), (2, 4, 1, 2), (2, 4, 1, 4), (2, 4, 1, 5)):
+        assert leaves(4, lead) == []
+    assert leaves(2, (2, 2)) == leaves(2, (1, 1)) == leaves(1, (2,)) == []
 
 
 class SerialPool:
