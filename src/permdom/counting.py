@@ -14,20 +14,26 @@ F_t = x F_{t-1} F0, so
 f(n,1,t) = [x^(n-t)] F0^(t+1) and g(n,1) = n! - F0[n] for n >= 1.  (This is
 the sequence construction over indecomposable blocks, Flajolet & Sedgewick,
 Analytic Combinatorics I.2, OEIS A003319; a strong fixed point is a block of
-size 1.)  F0 takes one convolution, F0[n] = n! - sum_{k=1}^{n} (n-k)! F0[k-1].
-Its powers need none: n n! = (n+1)! - n! gives x^2 A' = (1 - x) A - 1, and
+size 1.)  n n! = (n+1)! - n! gives x^2 A' = (1 - x) A - 1, and
 A = F0 / (1 - x F0) turns that into the Riccati equation
 
     x^2 F0' = -1 + (1 + x) F0 - x (1 + x) F0^2.
 
-Multiplying it by m F0^(m-1) and reading the coefficient of x^(q+1) gives,
-for c_m = F0^m (c_0 = 1) and m >= 1,
+Its coefficient of x^(q+1) is, for q >= 1 (F0[0] = 1, F0[1] = 0),
+
+    F0[q+1] = (q - 1) F0[q] + S[q] + S[q-1],    S = F0^2,
+
+and S[q] = 2 sum_{k < q/2} F0[k] F0[q-k] (+ F0[q/2]^2 for even q) pairs the
+symmetric terms: floor(q/2) + 1 big products, half those of the convolution
+F0[n] = n! - sum_{k=1}^{n} (n-k)! F0[k-1].  Multiplying the equation by
+m F0^(m-1) and reading the same coefficient gives, for c_m = F0^m (c_0 = 1)
+and m >= 1,
 
     c_{m+1}[q] = c_m[q+1] - c_{m-1}[q+1] + (m - q) c_m[q] / m - c_{m+1}[q-1],
 
 where m divides (m - q) c_m[q] because every other term is an integer.
-`_powers` runs it, so the whole f(n,1,t) triangle up to order N costs one
-O(N^2) convolution and O(N^2) big-by-small integer steps.
+`_powers` runs it, so the whole f(n,1,t) triangle up to order N costs about
+N^2/4 big-by-big products and O(N^2) big-by-small integer steps.
 
 Pair domination.  Let a = u-1, b = v-u-1, c = n-v, the vertices below u,
 between u and v, and above v.  In the nonadjacent sum over x1+x2 = a,
@@ -77,7 +83,7 @@ from operator import add, mul
 from .errors import IndexOutOfRange, MissingTableEntry, NotSorted
 
 # Largest order the CLI accepts for a count.  The slowest request it admits,
-# `count f1 --n 1000`, takes about 5 s on a 2-core Xeon under CPython 3.11;
+# `count f1 --n 1000`, takes about 3 s on a 2-core Xeon under CPython 3.11;
 # n! passes Python's 4,300-digit int-to-str limit only near n = 1,550.
 MAX_ORDER = 1000
 
@@ -117,11 +123,17 @@ def _factorials(n: int) -> list[int]:
     return out
 
 
-def _f0(fact: list[int]) -> list[int]:
-    """F0[0..len(fact) - 1] by its one convolution."""
-    f0: list[int] = []
-    for n, whole in enumerate(fact):
-        f0.append(whole - sum(map(mul, reversed(fact[:n]), f0)))
+def _f0(order: int) -> list[int]:
+    """F0[0..order] by the Riccati recurrence of the module docstring."""
+    f0 = [1, 0][:order + 1]
+    below = 1  # S[q-1], S = F0^2
+    for q in range(1, order):
+        half = (q + 1) // 2  # the pairs k < q/2 of S[q]
+        square = 2 * sum(map(mul, f0[:half], f0[q:q - half:-1]))
+        if q % 2 == 0:
+            square += f0[half] ** 2
+        f0.append((q - 1) * f0[q] + square + below)
+        below = square
     return f0
 
 
@@ -129,7 +141,7 @@ def _powers(order: int):
     """Yield c_1, c_2, ..., c_{order+1} with c_m = F0^m, each cut after
     x^(order - m + 1): exactly the coefficients f1(n, m - 1) for n <= order.
     """
-    cur = _f0(_factorials(order))
+    cur = _f0(order)
     prev = [1] + [0] * order  # c_0 = 1
     yield cur
     for m in range(1, order + 1):
@@ -153,13 +165,13 @@ def f1_triangle(max_n: int) -> list[list[int]]:
 
 def f0_column(max_n: int) -> list[int]:
     """[f(0,1,0), ..., f(max_n,1,0)]: the coefficients of F0."""
-    return _f0(_factorials(max_n))
+    return _f0(max_n)
 
 
 def g1_column(max_n: int) -> list[int]:
     """[g(0, 1), ..., g(max_n, 1)]: g(n, 1) = n! - F0[n] for n >= 1."""
     fact = _factorials(max_n)
-    f0 = _f0(fact)
+    f0 = _f0(max_n)
     return [0] + [fact[n] - f0[n] for n in range(1, max_n + 1)]
 
 

