@@ -54,7 +54,6 @@ from .sequences import (
     RationalPolynomial,
     StOffsetFamily,
     lift_families,
-    lift_polynomial,
     sequence_table,
     st,
     st_closed_form,

@@ -253,13 +253,15 @@ def cmd_construct(args) -> int:
         p = constructions.connected_with_gamma(args.n, args.k)
         payload = {"schema": SCHEMA, "requested_gamma": args.k, **_audit(p)}
     else:  # extend
+        # The extension tests connectivity before any search, and checks
+        # that the result keeps the input's gamma and connectivity.
         before = parse_permutation(args.perm)
-        audit_before = _audit(before)
         p = constructions.extend_preserving_gamma(before)
+        audit = _audit(before)
         payload = {
             "schema": SCHEMA,
-            "input": audit_before,
-            "result": _audit(p),
+            "input": audit,
+            "result": {**audit, "perm": str(p)},
         }
     _emit(payload, args.out)
     return 0

@@ -123,25 +123,32 @@ def is_comb(g: PermutationGraph) -> CombWitness | None:
     return CombWitness(spine=spine, teeth=frozenset(leaves), matching=matching)
 
 
-def extend_preserving_gamma(p: Permutation) -> Permutation:
-    """Insert n+1 immediately left of the right-most element of the
-    canonical minimum dominating set; order grows by one, domination number
-    and connectivity are preserved (and re-verified here).
+def _extend(p: Permutation, n: int) -> Permutation:
+    """Insert p.n+1 immediately left of the right-most element of the
+    canonical minimum dominating set until the order is n; domination number
+    and connectivity are preserved (and re-verified here).  The result that
+    checks one step gives the next step's witness, so each permutation of
+    the chain is solved once, and the input only when there is a step.
     """
     g = build_graph(p)
     if not is_connected(g):
         raise DisconnectedInput(f"[{p}] has a disconnected graph")
-    result = domination_number_exact(g)
-    a = max(result.witness, key=p.position)
-    pos = p.position(a)
-    image = p.image[: pos - 1] + (p.n + 1,) + p.image[pos - 1 :]
-    q = Permutation(image)
+    result = domination_number_exact(g) if p.n < n else None
+    while p.n < n:
+        pos = max(map(p.position, result.witness))
+        q = Permutation(p.image[: pos - 1] + (p.n + 1,) + p.image[pos - 1 :])
+        g = build_graph(q)
+        checked = domination_number_exact(g) if is_connected(g) else None
+        if checked is None or checked.gamma != result.gamma:
+            raise AssertionError(f"inserting {p.n + 1} into [{p}] changed "
+                                 "connectivity or the domination number")
+        p, result = q, checked
+    return p
 
-    gq = build_graph(q)
-    if not is_connected(gq) or domination_number_exact(gq).gamma != result.gamma:
-        raise AssertionError(f"inserting {p.n + 1} into [{p}] changed "
-                             "connectivity or the domination number")
-    return q
+
+def extend_preserving_gamma(p: Permutation) -> Permutation:
+    """One step of the gamma-preserving insertion: order n+1."""
+    return _extend(p, p.n + 1)
 
 
 def connected_with_gamma(n: int, k: int) -> Permutation:
@@ -164,6 +171,4 @@ def connected_with_gamma(n: int, k: int) -> Permutation:
         p = Permutation((3, 1, 4, 2))
     else:
         p = comb_sigma(2 * k)
-    while p.n < n:
-        p = extend_preserving_gamma(p)
-    return p
+    return _extend(p, n)

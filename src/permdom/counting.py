@@ -123,11 +123,12 @@ def _factorials(n: int) -> list[int]:
     return out
 
 
-def _f0(order: int) -> list[int]:
-    """F0[0..order] by the Riccati recurrence of the module docstring."""
-    f0 = [1, 0][:order + 1]
+def f0_column(max_n: int) -> list[int]:
+    """[f(0,1,0), ..., f(max_n,1,0)]: the coefficients of F0, by the
+    Riccati recurrence of the module docstring."""
+    f0 = [1, 0][:max_n + 1]
     below = 1  # S[q-1], S = F0^2
-    for q in range(1, order):
+    for q in range(1, max_n):
         half = (q + 1) // 2  # the pairs k < q/2 of S[q]
         square = 2 * sum(map(mul, f0[:half], f0[q:q - half:-1]))
         if q % 2 == 0:
@@ -141,7 +142,7 @@ def _powers(order: int):
     """Yield c_1, c_2, ..., c_{order+1} with c_m = F0^m, each cut after
     x^(order - m + 1): exactly the coefficients f1(n, m - 1) for n <= order.
     """
-    cur = _f0(order)
+    cur = f0_column(order)
     prev = [1] + [0] * order  # c_0 = 1
     yield cur
     for m in range(1, order + 1):
@@ -163,15 +164,10 @@ def f1_triangle(max_n: int) -> list[list[int]]:
     return rows
 
 
-def f0_column(max_n: int) -> list[int]:
-    """[f(0,1,0), ..., f(max_n,1,0)]: the coefficients of F0."""
-    return _f0(max_n)
-
-
 def g1_column(max_n: int) -> list[int]:
     """[g(0, 1), ..., g(max_n, 1)]: g(n, 1) = n! - F0[n] for n >= 1."""
     fact = _factorials(max_n)
-    f0 = _f0(max_n)
+    f0 = f0_column(max_n)
     return [0] + [fact[n] - f0[n] for n in range(1, max_n + 1)]
 
 

@@ -57,19 +57,12 @@ def domination_number_exact(g: PermutationGraph) -> DominationResult:
     >>> r.gamma, sorted(r.witness)
     (2, [1, 2])
     """
-    combo = _minimum_cover(g.closed_rows(), g.full_mask())
+    (combo,) = _minimum_covers(g.closed_rows(), g.full_mask(), 1)
     return DominationResult(
         gamma=len(combo),
         witness=frozenset(i + 1 for i in combo),
         method=EXACT,
     )
-
-
-def _minimum_cover(rows: tuple[int, ...], full: int) -> tuple[int, ...]:
-    """0-based indices of the first set of rows whose or is `full`, by
-    increasing size and then lexicographically: the canonical minimum
-    dominating set when `rows` are the closed neighborhoods."""
-    return _minimum_covers(rows, full, 1)[0]
 
 
 def _minimum_covers(rows: tuple[int, ...], full: int,

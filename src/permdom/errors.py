@@ -69,9 +69,5 @@ class UnsupportedOffset(PermdomError):
     """No closed form is implemented for the requested offset."""
 
 
-class MissingLowerOffset(PermdomError):
-    """Polynomial lifting is missing a prerequisite lower-offset family."""
-
-
 class DegenerateR(PermdomError):
     """The lifting right-hand side collapsed to the zero polynomial."""

@@ -4,7 +4,7 @@ St(n, k) equals f(n, 1, k): reversing a permutation turns its strong fixed
 points into singleton dominators of the graph.  For fixed offset r the map
 k -> St(k+r, k) is an integer-valued polynomial, so it has integer
 coefficients a_i in the basis C(k, i), its Newton series (Graham, Knuth and
-Patashnik, Concrete Mathematics 5.3).  `lift_polynomial` builds each
+Patashnik, Concrete Mathematics 5.3).  `lift_families` builds each
 offset's a_i from the lower offsets by three integer recurrences (a shift, a
 right-hand side, a telescoping sum), then multiplies them out once into
 exact rationals: the offset-4 closed form has half-integer coefficients.
@@ -16,12 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .counting import CountTable, f0_column, f1, f1_triangle, g1_column
-from .errors import (
-    DegenerateR,
-    IndexOutOfRange,
-    MissingLowerOffset,
-    UnsupportedOffset,
-)
+from .errors import DegenerateR, IndexOutOfRange, UnsupportedOffset
 
 # Largest offset the CLI lifts.  `lift_families` builds every family from 2
 # up; `seq lift --r 80` takes 0.1-0.2 s on a 2-core Xeon under CPython
@@ -118,8 +113,9 @@ def _monomial(a: list[int]) -> RationalPolynomial:
     return RationalPolynomial.of(*(Fraction(x, denominator) for x in numerators))
 
 
-def lift_polynomial(r: int, lower) -> StOffsetFamily:
-    """Lift the offset-r polynomial from the families of all offsets s < r.
+def _lift(r: int, shifted: dict[int, list[int]], st0: list[int]) -> StOffsetFamily:
+    """The offset-r family from the shifted Newton coefficients of every
+    offset s < r and St(j, 0) for j <= r at least.
 
     In Newton coefficients (p(k) = sum_i a_i C(k, i)), by three integer
     recurrences:
@@ -132,26 +128,12 @@ def lift_polynomial(r: int, lower) -> StOffsetFamily:
       gives a_0 = St(r, 0) and a_i = c_{i-1} + c_i for i >= 1, by the
       hockey stick sum_{j=0}^{k} C(j, i) = C(k+1, i+1).
     """
-    if r < 2:
-        raise UnsupportedOffset(f"lifting starts at offset 2, got {r}")
-    shifted = {fam.r: _shifted(fam.newton_coefficients) for fam in lower}
-    return _lift(r, shifted, f0_column(r))
-
-
-def _lift(r: int, shifted: dict[int, list[int]], st0: list[int]) -> StOffsetFamily:
-    """`lift_polynomial` from the shifted Newton coefficients of the lower
-    offsets and St(j, 0) for j <= r at least."""
     rhs: list[int] = []
     for s in range(r):
         weight = st0[r - s]
         if weight == 0 or s == 1:
             continue
-        if s == 0:
-            term = [1]
-        elif s not in shifted:
-            raise MissingLowerOffset(f"offset {s} family not supplied")
-        else:
-            term = shifted[s]
+        term = [1] if s == 0 else shifted[s]
         rhs += [0] * (len(term) - len(rhs))
         for i, c in enumerate(term):
             rhs[i] += weight * c

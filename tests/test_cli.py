@@ -7,7 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_cli_fuzz import NEAR_IDENTITY_64
 
+from permdom import cli, constructions
 from permdom.cli import main
 from permdom.constructions import comb_sigma, comb_tau
 
@@ -159,6 +161,23 @@ def test_construct_extend(capsys):
     assert payload["input"]["gamma"] == payload["result"]["gamma"] == 2
     assert payload["result"]["perm"] == "3,1,4,5,2"
     assert payload["result"]["connected"] is True
+
+
+def test_each_permutation_of_a_construction_is_solved_once(capsys, monkeypatch):
+    solved = []
+    exact = cli.domination_number_exact
+
+    def counted(g):
+        solved.append(g.n)
+        return exact(g)
+
+    for module in (cli, constructions):
+        monkeypatch.setattr(module, "domination_number_exact", counted)
+    run_json(capsys, "construct", "gamma", "--n", "20", "--k", "9")
+    assert solved == [18, 19, 20, 20]  # the comb, two steps, the audit
+    solved.clear()
+    run_json(capsys, "construct", "extend", "--perm", str(comb_sigma(14)))
+    assert solved == [14, 15, 14]  # the input, the step, the input's audit
 
 
 def test_oracle_tally(capsys):
@@ -408,6 +427,40 @@ def test_help_to_a_full_stdout_is_a_typed_error(argv):
     assert done.returncode == 1
     (line,) = done.stderr.decode().splitlines()
     assert line.startswith("error: UnwritableOutput: cannot write stdout")
+
+
+def test_disconnected_extend_input_fails_before_any_search():
+    # 1 is isolated; the exact search on this input runs for minutes.
+    done = subprocess.run(
+        [sys.executable, "-m", "permdom.cli", "construct", "extend",
+         "--perm", NEAR_IDENTITY_64],
+        capture_output=True, env=_child_env(), timeout=10)
+    assert done.returncode == 1 and done.stdout == b""
+    assert done.stderr.decode().startswith("error: DisconnectedInput: ")
+
+
+def test_a_failed_extension_check_is_a_fail_line():
+    # A solver off by one on odd orders: every step of an extension changes
+    # gamma, so the extension's own check raises.
+    script = (
+        "import dataclasses, sys\n"
+        "from permdom import cli, constructions\n"
+        "exact = constructions.domination_number_exact\n"
+        "def off_by_one(g):\n"
+        "    r = exact(g)\n"
+        "    return dataclasses.replace(r, gamma=r.gamma + g.n % 2)\n"
+        "constructions.domination_number_exact = off_by_one\n"
+        "sys.exit(cli.main(['verify', '--max-n', '3']))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=_child_env(), timeout=120)
+    err = done.stderr.decode()
+    assert done.returncode == 3 and "Traceback" not in err
+    lines = err.splitlines()
+    assert "FAIL extension_preserves_gamma (500 seeded samples)" in lines
+    assert "FAIL connected_with_gamma (n <= 12, k <= n/2)" in lines
+    checks = {c["name"]: c for c in json.loads(done.stdout)["checks"]}
+    assert checks["extension_preserves_gamma"]["first_mismatch"].startswith(
+        "inserting ")
 
 
 def test_optimised_interpreter_prints_the_same_verify_bytes():

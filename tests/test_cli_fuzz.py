@@ -23,6 +23,13 @@ from permdom.sequences import MAX_LIFT_OFFSET
 CALL_SECONDS = 5.0  # each well-formed call here takes well under 0.5 s
 OUT_DIRECTORY = "."  # an `--out` that names a directory can never be written
 
+# Random adjacent swaps of the identity at order 64: gamma 34 and 221,184
+# minimum dominating sets, out of the exact search's reach.  1 is isolated.
+NEAR_IDENTITY_64 = (
+    "1,4,2,3,7,5,6,9,8,12,11,10,13,15,14,16,17,19,23,18,20,22,24,21,26,25,"
+    "28,27,31,32,29,33,30,34,35,37,40,38,36,41,39,43,46,42,44,48,45,47,49,50,"
+    "52,54,55,51,53,56,57,58,59,61,60,63,62,64")
+
 # Tokens that are malformed, out of range or misplaced wherever they land.
 # None starts with "--o" (argparse would read it as `--out` and write a
 # file) or is "-h".
@@ -131,6 +138,8 @@ def assert_parses(out: str) -> None:
 @example(["construct", "gamma", "--n", "1", "--k", "1"]).via("one vertex, gamma 1")
 @example(["seq", "lift", "--r", str(MAX_LIFT_OFFSET)]).via("the largest offset")
 @example(["analyze", "1,2", "--out", OUT_DIRECTORY]).via("--out a directory")
+@example(["construct", "extend", "--perm", NEAR_IDENTITY_64]).via(
+    "a disconnected input the exact search cannot finish")
 def test_generated_argv_gets_an_answer_or_a_typed_error(argv):
     code, out, err, elapsed = call(argv)
     assert code in (0, 1, 2, 3), (code, err)

@@ -128,6 +128,13 @@ def test_connected_with_gamma_examples():
             connected_with_gamma(n, k)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_a_chain_with_no_step_solves_nothing(k, monkeypatch):
+    monkeypatch.setattr(constructions, "domination_number_exact",
+                        lambda g: pytest.fail("ran the exact search"))
+    assert connected_with_gamma(2 * k, k).n == 2 * k
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_connected_with_gamma_rejects_orders_above_the_cap_up_front(k):
     with pytest.raises(OrderTooLarge, match="n = 200 "):

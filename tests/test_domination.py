@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from permdom.constructions import comb_sigma, comb_tau, is_comb
 from permdom.domination import (
-    _minimum_cover,
+    _minimum_covers,
     all_minimum_dominating_sets,
     count_minimum_dominating_sets,
     count_singleton_dominators,
@@ -145,7 +145,7 @@ def test_minimum_cover_matches_plain_enumeration_on_the_s8_sweep():
     full = (1 << 8) - 1
     _, size = _subset_tables(8)
     for _, rows, *_, dom in leaves(8):
-        cover = _minimum_cover(rows, full)
+        (cover,) = _minimum_covers(rows, full, 1)
         assert cover == first_cover_by_plain_enumeration(rows, full)
         assert _gamma(dom, size) == len(cover)
 

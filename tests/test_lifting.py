@@ -1,9 +1,9 @@
 """Integer Newton-basis lifting of St(k+r, k) against the old rational code.
 
 The reference below is the `Fraction` polynomial class (`__add__`, `scale`,
-`shift_argument`, `is_zero`) and the triangular rational solve that
-`sequences.lift_polynomial` used before it lifted integer coefficients in
-the basis C(k, i).  It stays here as the oracle for the integer form.
+`shift_argument`, `is_zero`) and the triangular rational solve that the
+lifting in `sequences` used before it lifted integer coefficients in the
+basis C(k, i).  It stays here as the oracle for the integer form.
 """
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,8 +13,8 @@ from math import comb
 import pytest
 
 from permdom.counting import f0_column, f1_triangle
-from permdom.errors import DegenerateR, MissingLowerOffset, UnsupportedOffset
-from permdom.sequences import lift_families, lift_polynomial
+from permdom.errors import DegenerateR, UnsupportedOffset
+from permdom.sequences import lift_families
 
 MAX_R = 40
 MAX_K = 40
@@ -95,8 +95,6 @@ def ref_lift_polynomial(r: int, lower: dict) -> tuple[RefPolynomial, int]:
         elif s == 1:
             continue
         else:
-            if s not in lower:
-                raise MissingLowerOffset(f"offset {s} family not supplied")
             term = lower[s].shift_argument(-1)
         rhs = rhs + term.scale(weight)
 
@@ -159,22 +157,8 @@ def test_newton_coefficients_give_the_diagonal(r):
         assert sum(c * comb(k, i) for i, c in enumerate(a)) == rows[k + r][k]
 
 
-def test_lift_one_offset_from_a_partial_family_list():
-    fams = families()
-    # St(1, 0) = 0, so offset 3 does not read offset 2, as the reference.
-    assert lift_polynomial(3, []) == fams[3]
-    assert ref_lift_polynomial(3, {})[0].coefficients == fams[3].polynomial.coefficients
-    assert lift_polynomial(9, [fams[s] for s in range(2, 9)]) == fams[9]
-    with pytest.raises(MissingLowerOffset):
-        lift_polynomial(9, [fams[s] for s in range(2, 9) if s != 5])
-    ref = ref_lift_families(MAX_R)
-    with pytest.raises(MissingLowerOffset):
-        ref_lift_polynomial(9, {s: ref[s][0] for s in range(2, 9) if s != 5})
-
-
 @pytest.mark.parametrize("r", [-1, 0, 1])
 def test_offsets_below_two_are_unsupported(r):
-    with pytest.raises(UnsupportedOffset):
-        lift_polynomial(r, [])
+    assert lift_families(r) == {}
     with pytest.raises(UnsupportedOffset):
         ref_lift_polynomial(r, {})

@@ -179,7 +179,7 @@ def test_heuristic_quality_small():
 
 def test_sweep_matches_graphs_built_from_scratch():
     from permdom.domination import (
-        _minimum_cover,
+        _minimum_covers,
         count_minimum_dominating_sets,
         count_singleton_dominators,
         domination_number_exact,
@@ -209,7 +209,7 @@ def test_sweep_matches_graphs_built_from_scratch():
             assert strong == len(strong_fixed_points(p))
             assert singles == count_singleton_dominators(g)
             gamma = domination_number_exact(g).gamma
-            assert len(_minimum_cover(rows, full)) == gamma
+            assert len(_minimum_covers(rows, full, 1)[0]) == gamma
             # The sieve against the pruned search.
             assert _gamma(dom, size) == gamma
             assert (dom & size[gamma]).bit_count() == (

@@ -7,7 +7,6 @@ from permdom.errors import IndexOutOfRange, UnsupportedOffset
 from permdom.sequences import (
     RationalPolynomial,
     lift_families,
-    lift_polynomial,
     sequence_table,
     st,
     st_closed_form,
@@ -60,18 +59,6 @@ def test_lifted_polynomials_match_recursion(r):
     assert fam.polynomial(0) == fam.k0_value == f1(r, 0)
     for k in range(1, 41):
         assert fam.polynomial(k) == f1(k + r, k)
-
-
-def test_lift_requires_lower_offsets_in_order():
-    from permdom.errors import MissingLowerOffset
-
-    with pytest.raises(MissingLowerOffset):
-        lift_polynomial(4, [])  # offset 2 family missing
-
-
-def test_lift_rejects_small_offsets():
-    with pytest.raises(UnsupportedOffset):
-        lift_polynomial(1, [])
 
 
 def test_sequence_table():
