@@ -229,10 +229,9 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _audit(p) -> dict:
-    g = build_graph(p)
+def _audit(g) -> dict:
     return {
-        "perm": str(p),
+        "perm": str(g.source),
         "gamma": domination_number_exact(g).gamma,
         "connected": is_connected(g),
     }
@@ -242,22 +241,22 @@ def cmd_construct(args) -> int:
     if args.what == "comb":
         build = constructions.comb_tau if args.variant == "tau" else (
             constructions.comb_sigma)
-        p = build(args.n)
+        g = build_graph(build(args.n))
         payload = {
             "schema": SCHEMA,
             "variant": args.variant,
-            **_audit(p),
-            "is_comb": constructions.is_comb(build_graph(p)) is not None,
+            **_audit(g),
+            "is_comb": constructions.is_comb(g) is not None,
         }
     elif args.what == "gamma":
-        p = constructions.connected_with_gamma(args.n, args.k)
-        payload = {"schema": SCHEMA, "requested_gamma": args.k, **_audit(p)}
+        g = build_graph(constructions.connected_with_gamma(args.n, args.k))
+        payload = {"schema": SCHEMA, "requested_gamma": args.k, **_audit(g)}
     else:  # extend
         # The extension tests connectivity before any search, and checks
         # that the result keeps the input's gamma and connectivity.
         before = parse_permutation(args.perm)
         p = constructions.extend_preserving_gamma(before)
-        audit = _audit(before)
+        audit = _audit(build_graph(before))
         payload = {
             "schema": SCHEMA,
             "input": audit,

@@ -29,10 +29,6 @@ class VertexOutOfRange(PermdomError):
     """A vertex argument is outside {1..n}."""
 
 
-class NotDominating(PermdomError):
-    """The given vertex set does not dominate the graph."""
-
-
 class IndexOutOfRange(PermdomError):
     """A counting-formula index is outside its valid range."""
 

@@ -20,9 +20,12 @@ from permdom.domination import (
     quick_rule_value_ends,
     singleton_dominators_by_position,
 )
-from permdom.errors import NotDominating
 from permdom.graph import build_graph, is_connected, vertices_of
 from permdom.perm import Permutation, decreasing, identity, parse_permutation
+
+
+class NotDominating(Exception):
+    """`classify_neighbors` was given a set that does not dominate."""
 
 
 @dataclass(frozen=True)

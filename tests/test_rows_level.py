@@ -4,11 +4,12 @@ graph-level forms.
 The census runs the hand heuristic and the quick rules on the sweep's
 one-line image and closed rows, with no `Permutation` or `PermutationGraph`
 per leaf, and the invariant suite's helpers read a permutation's positions
-and a graph's rows once.  The `ref_*` functions below are those functions as
-they were before: per-element `position()`/`degree()` calls, and the
-heuristic and clique walk on a graph object.  They stay here as the oracle
-for the rewritten forms, exhaustively for n <= 7 and on Hypothesis inputs up
-to order 24.
+and a graph's rows once.  The `ref_*` functions below are those helpers as
+they were before, with per-element `position()`/`degree()` calls; the
+heuristic and the clique listing are checked against the Bron-Kerbosch and
+list-scan references of clique_reference.py.  They are the oracle for the
+rewritten forms, exhaustively for n <= 7 and on Hypothesis inputs up to
+order 24.
 """
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,7 @@ from permdom.domination import (
 from permdom.graph import PermutationGraph, build_graph, degree_bound_check
 from permdom.oracle import HeuristicQuality, census
 from permdom.perm import Permutation, strong_fixed_points
+from clique_reference import ref_heuristic_dominating_set, ref_maximal_cliques, skew_pairs
 from walk import leaves
 
 
@@ -77,112 +79,6 @@ def ref_quick_rule_position_ends(p: Permutation) -> DominationResult | None:
     )
 
 
-def ref_maximal_cliques(g: PermutationGraph) -> list[int]:
-    """All maximal cliques as bitmasks, in no particular order.
-
-    A clique of a permutation graph is a decreasing subsequence, so a
-    maximal clique is a maximal chain of the poset in which position i lies
-    below position j when i < j and p(i) > p(j).  Its Hasse diagram has an
-    edge i -> j when, in addition, no position between i and j holds a value
-    between p(j) and p(i).  The maximal chains are exactly the paths from a
-    source (no earlier larger value) to a sink (no later smaller value), so
-    walking every such path lists each maximal clique once, with no dead
-    ends.  The empty graph's one maximal clique is the empty set.
-    """
-    image = g.source.image
-    n = len(image)
-    bits = [1 << (v - 1) for v in image]
-    below: list[list[int]] = []
-    for i, top in enumerate(image):
-        succ = []
-        ceiling = 0  # the largest value below `top` seen after position i
-        for j in range(i + 1, n):
-            v = image[j]
-            if ceiling < v < top:
-                succ.append(j)
-                ceiling = v
-                if v == top - 1:  # no value fits between any more
-                    break
-        below.append(succ)
-    out: list[int] = []
-    stack = []
-    highest = 0
-    for i, v in enumerate(image):  # the sources are the left-to-right maxima
-        if v > highest:
-            highest = v
-            stack.append((i, bits[i]))
-    while stack:
-        i, clique = stack.pop()
-        if below[i]:
-            stack.extend([(j, clique | bits[j]) for j in below[i]])
-        else:
-            out.append(clique)
-    return out or [0]
-
-
-def ref_heuristic_dominating_set(g: PermutationGraph) -> DominationResult:
-    """Hand-style dominating set from decreasing subsequences.
-
-    Collect all maximum cliques, plus all maximal cliques through each value
-    not covered by a maximum clique (the maximal cliques are listed as
-    source-to-sink paths of the decreasing-pair Hasse diagram); then
-    repeatedly take the most frequent vertex across the collected cliques
-    (ties to the smallest vertex) and drop every clique containing it.  The
-    result is verified and greedily repaired if it fails to dominate.
-    """
-    cliques = ref_maximal_cliques(g)
-    best = max((c.bit_count() for c in cliques), default=0)
-    covered = 0
-    for c in cliques:
-        if c.bit_count() == best:
-            covered |= c
-    uncovered = g.full_mask() ^ covered
-    collected = [c for c in cliques if c & uncovered or c.bit_count() == best]
-
-    freq = [0] * g.n
-    for c in collected:
-        ref_tally_bits(freq, c, 1)
-    chosen: list[int] = []
-    while collected:
-        v = freq.index(max(freq))  # ties break to the smallest vertex
-        chosen.append(v + 1)
-        bit = 1 << v
-        kept = []
-        for c in collected:
-            if c & bit:
-                ref_tally_bits(freq, c, -1)
-            else:
-                kept.append(c)
-        collected = kept
-
-    rows = g.closed_rows()
-    full = g.full_mask()
-    cover = 0
-    for v in chosen:
-        cover |= rows[v - 1]
-    repaired = cover != full
-    while cover != full:
-        gains = [(row & ~cover).bit_count() for row in rows]
-        v = gains.index(max(gains)) + 1
-        chosen.append(v)
-        cover |= rows[v - 1]
-
-    return DominationResult(
-        gamma=len(chosen),
-        witness=frozenset(chosen),
-        method=HEURISTIC,
-        repaired=repaired,
-    )
-
-
-def ref_tally_bits(freq: list[int], mask: int, step: int) -> None:
-    """Add `step` to freq[i] for every bit i of `mask`."""
-    while mask:
-        low = mask & -mask
-        freq[low.bit_length() - 1] += step
-        mask ^= low
-
-
 def ref_strong_fixed_points(p: Permutation) -> frozenset[int]:
     """Values k with every smaller value positioned before k and every
     larger value positioned after k in one-line notation.
@@ -213,12 +109,6 @@ def ref_degree_bound_check(g: PermutationGraph) -> bool:
         if abs(shift) > d or (shift - d) % 2 != 0:
             return False
     return True
-
-
-
-def skew_pairs(n: int) -> Permutation:
-    """The skew sum of n/2 increasing pairs: 2^(n/2) maximal cliques."""
-    return Permutation(tuple(v for j in range(n - 1, 0, -2) for v in (j, j + 1)))
 
 
 def assert_matches_reference(p: Permutation) -> None:
