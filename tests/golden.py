@@ -1,7 +1,8 @@
 """Check `permdom` stdout against the golden manifest, tests/golden_stdout.txt.
 
 Each manifest row pins the SHA-256 of stdout for one argv, in one tier.
-Tier-1 runs the `tier1` rows through `test_cli.test_golden_stdout_digest`.
+Tier-1 runs each `tier1` row as the pytest case in tests/test_cli.py that
+the row's case column names.
 The `ci` rows are too slow for Tier-1; CI runs them from the source tree:
 
     PYTHONPATH=src python tests/golden.py ci
@@ -9,9 +10,10 @@ The `ci` rows are too slow for Tier-1; CI runs them from the source tree:
 The script runs every row of the tier it is given in process. It prints
 each row that differs as its argv, the pinned digest and the actual one,
 and exits 1 if any row differs. It never writes the manifest. To pin a new
-argv, add a row with `-` for its digest, run its tier, check that the
-command's output is right, and paste the `row` line printed for it over
-the placeholder.
+argv, add a row with `-` for its digest and, in tier1, a case under
+`test_golden_stdout_digest` with a key no row uses yet; run its tier,
+check that the command's output is right, and paste the `row` line
+printed for it over the placeholder.
 """
 from __future__ import annotations
 
@@ -34,10 +36,11 @@ TIERS = ("tier1", "ci")
 class Row(NamedTuple):
     digest: str
     tier: str
+    case: str  # `<test>[<key>]` in tier1, `-` in ci
     argv: tuple[str, ...]
 
     def __str__(self) -> str:
-        return " ".join((self.digest, self.tier, *self.argv))
+        return " ".join((self.digest, self.tier, self.case, *self.argv))
 
 
 def rows(tier: str) -> list[Row]:
@@ -47,10 +50,10 @@ def rows(tier: str) -> list[Row]:
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split()
-        if len(fields) < 3 or fields[1] not in TIERS:
+        if len(fields) < 4 or fields[1] not in TIERS:
             raise ValueError(f"{MANIFEST.name}:{number}: not a row: {line!r}")
         if fields[1] == tier:
-            out.append(Row(fields[0], fields[1], tuple(fields[2:])))
+            out.append(Row(*fields[:3], tuple(fields[3:])))
     return out
 
 

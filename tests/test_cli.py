@@ -513,12 +513,25 @@ def test_checks_hold_under_optimisation(script, message):
     assert f"AssertionError: {message}" in done.stderr.decode()
 
 
-@pytest.mark.parametrize("argv, digest", [
-    pytest.param(row.argv, row.digest, id=" ".join(row.argv))
-    for row in golden.rows("tier1")])
-def test_golden_stdout_digest(monkeypatch, argv, digest):
-    monkeypatch.chdir(golden.ROOT)  # the manifest's paths are relative to it
-    assert golden.stdout_digest(argv) == (0, digest)
+def _golden_test(name):
+    """The test `name`: one case per tier1 manifest row whose case column
+    is `name[<key>]`, with the id `<key>-<digest>`."""
+    params = []
+    for row in golden.rows("tier1"):
+        test, key = row.case.removesuffix("]").split("[")
+        if test == name:
+            params.append(pytest.param(row.argv, row.digest, id=f"{key}-{row.digest}"))
+
+    @pytest.mark.parametrize("argv, digest", params)
+    def test(monkeypatch, argv, digest):
+        monkeypatch.chdir(golden.ROOT)  # the manifest's paths are relative to it
+        assert golden.stdout_digest(argv) == (0, digest)
+    return test
+
+
+# One test per name in the manifest's case column, so that every tier1 row runs.
+for _name in dict.fromkeys(row.case.split("[")[0] for row in golden.rows("tier1")):
+    globals()[_name] = _golden_test(_name)
 
 
 def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch, tmp_path):
