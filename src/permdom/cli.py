@@ -53,7 +53,10 @@ def _json_text(value, indent: str = "") -> str:
     leaves its C encoder for a pure-Python one, which took a third of an
     `analyze` request.  Str-keyed dicts, lists, str, int, bool and None are
     written here; anything else goes to `json.dumps`, re-indented (its
-    newlines are all structural: strings escape theirs)."""
+    newlines are all structural: strings escape theirs).  A list of ints and
+    a list of int pairs (lists of exactly two ints, such as `analyze`'s
+    edges) are written in one join each, with no call per item; any other
+    list, a bool or None in a pair included, goes item by item."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -66,10 +69,16 @@ def _json_text(value, indent: str = "") -> str:
         sep = ",\n" + inner
         for v in value:
             if type(v) is not int:  # a bool is not an int here
-                body = sep.join([_json_text(v, inner) for v in value])
                 break
         else:
-            body = sep.join(map(str, value))
+            return f"[\n{inner}{sep.join(map(str, value))}\n{indent}]"
+        if all(type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is int
+               for v in value):
+            deeper = inner + "  "
+            body = sep.join([f"[\n{deeper}{a},\n{deeper}{b}\n{inner}]"
+                             for a, b in value])
+        else:
+            body = sep.join([_json_text(v, inner) for v in value])
         return f"[\n{inner}{body}\n{indent}]"
     if kind is dict and all(type(k) is str for k in value):
         if not value:

@@ -292,21 +292,14 @@ def _heuristic_cover(cliques: list[int],
     collected = ([c for c in cliques if c & uncovered or c.bit_count() == best]
                  if best else [])
 
-    freq = [0] * n
-    for c in collected:
-        _tally_bits(freq, c, 1)
+    holds = _memberships(collected, n)
+    alive = (1 << len(collected)) - 1  # bit k: collected[k] holds no pick yet
     chosen: list[int] = []
-    while collected:
+    while alive:
+        freq = [(h & alive).bit_count() for h in holds]
         v = freq.index(max(freq))  # ties break to the smallest vertex
         chosen.append(v + 1)
-        bit = 1 << v
-        kept = []
-        for c in collected:
-            if c & bit:
-                _tally_bits(freq, c, -1)
-            else:
-                kept.append(c)
-        collected = kept
+        alive &= ~holds[v]
 
     cover = 0
     for v in chosen:
@@ -320,9 +313,30 @@ def _heuristic_cover(cliques: list[int],
     return chosen, repaired
 
 
-def _tally_bits(freq: list[int], mask: int, step: int) -> None:
-    """Add `step` to freq[i] for every bit i of `mask`."""
-    while mask:
-        low = mask & -mask
-        freq[low.bit_length() - 1] += step
-        mask ^= low
+# Up to this many cliques, `_memberships` walks their bits; above it, the
+# text transpose is cheaper.  Measured on random permutations of order 6..32
+# (CPython 3.11, one Xeon core), the two cost the same near 16 cliques; at 5
+# cliques, the census's usual count, the walk takes about half the time.
+WALK_MAX_CLIQUES = 16
+
+
+def _memberships(cliques: list[int], n: int) -> list[int]:
+    """Clique membership by vertex: bit k of holds[v] is set when
+    cliques[k] contains vertex v + 1.  A few cliques are walked bit by bit.
+    More are written as text, one row of n binary digits per clique, and
+    each vertex's column is read back as one int: no call per bit, and no
+    or into an ever wider int, which would be quadratic in the clique
+    count."""
+    if len(cliques) <= WALK_MAX_CLIQUES:
+        holds = [0] * n
+        for k, c in enumerate(cliques):
+            bit = 1 << k
+            while c:
+                low = c & -c
+                holds[low.bit_length() - 1] |= bit
+                c ^= low
+        return holds
+    top = 1 << n  # bin(c | top) is "0b1" and then c in exactly n digits
+    text = "".join([bin(c | top) for c in reversed(cliques)])
+    width = n + 3
+    return [int(text[i::width], 2) for i in range(width - 1, 2, -1)]

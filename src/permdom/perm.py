@@ -8,8 +8,7 @@ an internal recursion base case but is rejected by the parser.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import EmptyInput, NotABijection, ParseError
 
@@ -21,11 +20,18 @@ class Permutation:
     """A bijection on {1..n}, held as its one-line notation."""
 
     image: tuple[int, ...]
+    # _positions[v - 1] = p^-1(v), filled by the pass that checks the
+    # bijection; outside equality, hash and repr, which see `image` alone.
+    _positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise NotABijection(f"not a bijection on [{n}]: {list(self.image)}")
+        pos = [0] * n
+        for i, v in enumerate(self.image, start=1):
+            if not 0 < v <= n or pos[v - 1]:  # out of range, or a repeat
+                raise NotABijection(f"not a bijection on [{n}]: {list(self.image)}")
+            pos[v - 1] = i
+        object.__setattr__(self, "_positions", tuple(pos))
 
     @property
     def n(self) -> int:
@@ -34,13 +40,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         """p(i) for a position 1 <= i <= n."""
         return self.image[i - 1]
-
-    @cached_property
-    def _positions(self) -> tuple[int, ...]:
-        pos = [0] * self.n
-        for i, v in enumerate(self.image, start=1):
-            pos[v - 1] = i
-        return tuple(pos)
 
     def position(self, value: int) -> int:
         """p^-1(value): the position of a value in one-line notation."""

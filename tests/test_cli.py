@@ -286,36 +286,39 @@ def test_allow_big_raises_cap(capsys, monkeypatch):
     assert payload["n"] == 5
 
 
-def _keep_ids(argvs):
-    """pytest params for argvs under the ids pytest gave them when they were
-    recorded, `argv<position>`.  A None holds the place of an argv removed
-    since, so the ids after it do not shift."""
-    return [pytest.param(argv, id=f"argv{i}")
-            for i, argv in enumerate(argvs) if argv is not None]
+# The cases keep the ids they were recorded under, `argv<place in the list>`;
+# the gaps are argv removed since.
+OUT_OF_RANGE_ARGV = {
+    "argv0": ("oracle", "tally", "--n", "3", "--jobs", "0"),
+    "argv1": ("oracle", "tally", "--n", "3", "--jobs", "-2"),
+    "argv3": ("verify", "--max-n", "3", "--jobs", "-1"),
+    "argv4": ("count", "g1", "--max-n", "-5"),
+    "argv5": ("count", "f1", "--n", "-1"),
+    "argv7": ("seq", "st", "--max-n", "-1"),
+    "argv8": ("seq", "lift", "--r", "1"),
+    "argv9": ("seq", "lift", "--r", "0"),
+    "argv10": ("seq", "lift", "--r", "-1"),
+    "argv11": ("verify", "--max-n", "0"),
+    "argv12": ("verify", "--max-n", "-1"),
+    "argv15": ("count", "d", "--n", "-3", "--k", "2"),
+    "argv16": ("count", "d", "--n", "0", "--k", "2"),
+    "argv17": ("count", "d", "--n", "5", "--k", "-1"),
+    "argv18": ("count", "d", "--n", "5", "--k", "0"),
+}
+ABOVE_CAP_ARGV = {
+    "argv0": ("count", "g1", "--max-n", "3000"),
+    "argv1": ("count", "f1", "--n", "1001"),
+    "argv2": ("count", "pair", "--n", "1001", "--u", "1", "--v", "2"),
+    "argv3": ("count", "efficient", "--n", "1001", "--set", "1"),
+    "argv5": ("seq", "lift", "--r", "81"),
+    "argv6": ("count", "d", "--n", "96", "--k", "2"),
+    "argv7": ("count", "d", "--n", "5", "--k", "96"),
+    "argv8": ("verify", "--max-n", "9"),
+    "argv9": ("seq", "st", "--max-n", "31"),
+}
 
 
-# None: rows of the removed `oracle verify` and `seq g1`.
-@pytest.mark.parametrize("argv", _keep_ids([
-    ("oracle", "tally", "--n", "3", "--jobs", "0"),
-    ("oracle", "tally", "--n", "3", "--jobs", "-2"),
-    None,
-    ("verify", "--max-n", "3", "--jobs", "-1"),
-    ("count", "g1", "--max-n", "-5"),
-    ("count", "f1", "--n", "-1"),
-    None,
-    ("seq", "st", "--max-n", "-1"),
-    ("seq", "lift", "--r", "1"),
-    ("seq", "lift", "--r", "0"),
-    ("seq", "lift", "--r", "-1"),
-    ("verify", "--max-n", "0"),
-    ("verify", "--max-n", "-1"),
-    None,
-    None,
-    ("count", "d", "--n", "-3", "--k", "2"),
-    ("count", "d", "--n", "0", "--k", "2"),
-    ("count", "d", "--n", "5", "--k", "-1"),
-    ("count", "d", "--n", "5", "--k", "0"),
-]))
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_ARGV.values(), ids=OUT_OF_RANGE_ARGV)
 def test_out_of_range_sizes_and_jobs_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -323,19 +326,7 @@ def test_out_of_range_sizes_and_jobs_are_usage_errors(capsys, argv):
     assert "must be at least" in capsys.readouterr().err
 
 
-# None: the row of the removed `seq g1`.
-@pytest.mark.parametrize("argv", _keep_ids([
-    ("count", "g1", "--max-n", "3000"),
-    ("count", "f1", "--n", "1001"),
-    ("count", "pair", "--n", "1001", "--u", "1", "--v", "2"),
-    ("count", "efficient", "--n", "1001", "--set", "1"),
-    None,
-    ("seq", "lift", "--r", "81"),
-    ("count", "d", "--n", "96", "--k", "2"),
-    ("count", "d", "--n", "5", "--k", "96"),
-    ("verify", "--max-n", "9"),
-    ("seq", "st", "--max-n", "31"),
-]))
+@pytest.mark.parametrize("argv", ABOVE_CAP_ARGV.values(), ids=ABOVE_CAP_ARGV)
 def test_sizes_above_the_caps_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

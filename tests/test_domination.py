@@ -2,11 +2,13 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations as perms, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permdom.constructions import comb_sigma, comb_tau, is_comb
 from permdom.domination import (
+    WALK_MAX_CLIQUES,
+    _memberships,
     _minimum_covers,
     all_minimum_dominating_sets,
     count_minimum_dominating_sets,
@@ -270,3 +272,14 @@ def test_heuristic_always_dominates_and_bounds_gamma(n):
         r = heuristic_dominating_set(g)
         assert is_dominating(g, r.witness)
         assert r.gamma >= domination_number_exact(g).gamma
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=40))))
+@example((5, list(range(WALK_MAX_CLIQUES))))  # the last count walked
+@example((5, list(range(WALK_MAX_CLIQUES + 1))))  # the first transposed
+def test_memberships_transpose_the_cliques(case):
+    n, cliques = case
+    assert _memberships(cliques, n) == [
+        sum(1 << k for k, c in enumerate(cliques) if c >> v & 1) for v in range(n)]

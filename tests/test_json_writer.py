@@ -18,12 +18,22 @@ SCALARS = st.one_of(
     st.booleans(),
     st.none(),
 )
+INTS = st.one_of(st.integers(), st.integers(-(2 ** 200), 2 ** 200))
+# The writer's edge-list shape: lists of exactly two ints.
+PAIR = st.lists(INTS, min_size=2, max_size=2)
+NEAR_PAIRS = st.one_of(
+    st.lists(st.one_of(INTS, st.booleans(), st.none()), min_size=2,
+             max_size=2),  # a bool or None in a pair
+    st.lists(INTS, max_size=3).filter(lambda v: len(v) != 2),  # 0, 1, 3 ints
+)
 PAYLOADS = st.recursive(
     SCALARS,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(st.one_of(st.integers(), st.booleans(), st.none()),
                  max_size=6),  # ints mixed with bool and None
+        st.lists(PAIR, min_size=1, max_size=6),
+        st.lists(st.one_of(PAIR, NEAR_PAIRS), min_size=1, max_size=6),
         st.dictionaries(TEXT, inner, max_size=5),
     ),
     max_leaves=30,
@@ -59,6 +69,9 @@ def test_writer_falls_back_to_json_dumps_nested(value):
     "\U0001f600", [], {}, [[]], {"": {}}, [True, 1, False, 0, None],
     [-1, 2 ** 64, -(2 ** 64) - 1], {"a": [1, [2, [3, {}]]]},
     (1, 2), {1: "int key"}, {None: 0, True: 1}, [1.5, float("inf")],
+    [[1, 2], [3, 4]], {"edges": [[-1, 2 ** 64], [0, -(2 ** 70)]]},
+    [[1, 2], [True, 3]], [[1, 2], [3, None]], [[1, 2], []], [[1, 2], [3]],
+    [[1, 2], [3, 4, 5]], [[1, 2], (3, 4)], [[1, 2], [3, 4.0]], [[[1, 2]]],
 ])
 def test_writer_edge_cases(value):
     assert _json_text(value) == json.dumps(value, indent=2)

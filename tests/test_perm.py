@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import permutations as perms
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from permdom.errors import EmptyInput, NotABijection, ParseError
 from permdom.perm import (
     Permutation,
+    identity,
     parse_permutation,
     reverse,
     strong_fixed_points,
@@ -39,6 +41,33 @@ def test_parse_rejects_non_bijection():
         parse_permutation("2,2,1")
     with pytest.raises(NotABijection):
         parse_permutation("1,3")
+
+
+@pytest.mark.parametrize("image", [
+    (1, 1), (2, 1, 2), (3, 3, 1), (0, 1), (1, 0, 2), (1, 3), (3, 1, 2, 5),
+    (-1, 1), (2, -1, 1), (1, 2, -3), (2,),
+])
+def test_duplicates_and_values_outside_one_to_n_are_not_bijections(image):
+    with pytest.raises(NotABijection, match=r"not a bijection on \[\d+\]"):
+        Permutation(image)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_position_inverts_the_image_on_all_of_s_n(n):
+    for image in perms(range(1, n + 1)):
+        p = Permutation(image)
+        assert [p.position(v) for v in range(1, n + 1)] == [
+            image.index(v) + 1 for v in range(1, n + 1)]
+
+
+def test_repr_equality_and_hash_see_the_image_alone():
+    p = parse_permutation("3,1,2")
+    q = Permutation((3, 1, 2))
+    assert repr(p) == "Permutation([3,1,2])" and str(p) == "3,1,2"
+    assert p == q and hash(p) == hash(q) == hash(((3, 1, 2),))
+    assert p != Permutation((1, 3, 2)) and len({p, q, identity(3)}) == 2
+    assert p == replace(identity(3), image=(3, 1, 2))
+    assert replace(p, image=(2, 3, 1)).position(1) == 3
 
 
 def test_parse_rejects_garbage_and_empty():
