@@ -313,30 +313,14 @@ def _heuristic_cover(cliques: list[int],
     return chosen, repaired
 
 
-# Up to this many cliques, `_memberships` walks their bits; above it, the
-# text transpose is cheaper.  Measured on random permutations of order 6..32
-# (CPython 3.11, one Xeon core), the two cost the same near 16 cliques; at 5
-# cliques, the census's usual count, the walk takes about half the time.
-WALK_MAX_CLIQUES = 16
-
-
 def _memberships(cliques: list[int], n: int) -> list[int]:
     """Clique membership by vertex: bit k of holds[v] is set when
-    cliques[k] contains vertex v + 1.  A few cliques are walked bit by bit.
-    More are written as text, one row of n binary digits per clique, and
-    each vertex's column is read back as one int: no call per bit, and no
-    or into an ever wider int, which would be quadratic in the clique
+    cliques[k] contains vertex v + 1.  The cliques are written as text, one
+    row of n binary digits each after a row of zeros (so no column is empty),
+    and each vertex's column is read back as one int: no call per bit, and
+    no or into an ever wider int, which would be quadratic in the clique
     count."""
-    if len(cliques) <= WALK_MAX_CLIQUES:
-        holds = [0] * n
-        for k, c in enumerate(cliques):
-            bit = 1 << k
-            while c:
-                low = c & -c
-                holds[low.bit_length() - 1] |= bit
-                c ^= low
-        return holds
     top = 1 << n  # bin(c | top) is "0b1" and then c in exactly n digits
-    text = "".join([bin(c | top) for c in reversed(cliques)])
+    text = "".join([bin(top), *[bin(c | top) for c in reversed(cliques)]])
     width = n + 3
     return [int(text[i::width], 2) for i in range(width - 1, 2, -1)]
