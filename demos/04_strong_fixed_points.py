@@ -26,9 +26,8 @@ print(f"  reverse: {r}, singleton dominators in its graph: "
 print("\nthe St(n, k) triangle (permutations of [n] with k strong "
       "fixed points):")
 triangle, column = sequence_table(7)
-for n in range(8):
-    row = [triangle.get(n, k) for k in range(n + 1)]
-    print(f"  n={n}: {row}   (at least one: {column.get(n)})")
+for n, row in enumerate(triangle):
+    print(f"  n={n}: {row}   (at least one: {column[n]})")
 
 print("\ndiagonal closed forms, checked against the recursion:")
 for rr in (2, 3, 4, 5):

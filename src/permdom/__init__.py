@@ -14,7 +14,6 @@ from .constructions import (
     is_comb,
 )
 from .counting import (
-    CountTable,
     disconnected_count,
     efficient_dom_count,
     f1,

@@ -51,18 +51,19 @@ def _json_text(value, indent: str = "") -> str:
     """`value` in the bytes `json.dumps(value, indent=2)` gives, placed at
     nesting `indent`.  Written by hand because with `indent` set, `json`
     leaves its C encoder for a pure-Python one, which took a third of an
-    `analyze` request.  Str-keyed dicts, lists, str, int, bool and None are
-    written here; anything else goes to `json.dumps`, re-indented (its
-    newlines are all structural: strings escape theirs).  A list of ints and
-    a list of int pairs (lists of exactly two ints, such as `analyze`'s
-    edges) are written in one join each, with no call per item; any other
-    list, a bool or None in a pair included, goes item by item."""
+    `analyze` request.  Str-keyed dicts, lists and tuples (both arrays, as
+    in `json`), str, int, bool and None are written here; anything else goes
+    to `json.dumps`, re-indented (its newlines are all structural: strings
+    escape theirs).  An array of ints and an array of int pairs (arrays of
+    exactly two ints, such as `analyze`'s edges) are written in one join
+    each, with no call per item; any other array, a bool or None in a pair
+    included, goes item by item."""
     kind = type(value)
     if kind is str:
         return _quote(value)
     if kind is int:
         return str(value)
-    if kind is list:
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = indent + "  "
@@ -72,8 +73,8 @@ def _json_text(value, indent: str = "") -> str:
                 break
         else:
             return f"[\n{inner}{sep.join(map(str, value))}\n{indent}]"
-        if all(type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is int
-               for v in value):
+        if all(type(v) in (list, tuple) and len(v) == 2
+               and type(v[0]) is type(v[1]) is int for v in value):
             deeper = inner + "  "
             body = sep.join([f"[\n{deeper}{a},\n{deeper}{b}\n{inner}]"
                              for a, b in value])
@@ -169,8 +170,8 @@ def cmd_analyze(args) -> int:
         "schema": SCHEMA,
         "perm": str(p),
         "n": p.n,
-        "edges": [list(e) for e in g.edges()],
-        "degrees": list(g.degrees()),
+        "edges": g.edges(),
+        "degrees": g.degrees(),
         "gamma": result.gamma,
         "witness": sorted(result.witness),
         "all_minimum_sets_count": count_minimum_dominating_sets(g),
@@ -184,15 +185,28 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _load_c_table(path: str) -> counting.CountTable:
+def _load_c_table(path: str) -> dict[tuple[int, int], int]:
+    """The connected counts {(m, j): c(m, j)} of a `{"c": {m: {j: count}}}`
+    file.  Each count is a JSON integer with 0 <= c(m, j) <= m!: no count of
+    order-m permutations is larger, and the bound keeps d(n, k) as small as
+    `counting.MAX_D_ORDER` says."""
     try:
         with open(path) as fh:
             rows = json.load(fh)["c"]
-        entries = {(int(n), int(k)): int(value)
-                   for n, row in rows.items() for k, value in row.items()}
+        table = {(int(m), int(j)): value
+                 for m, row in rows.items() for j, value in row.items()}
     except (OSError, ValueError, LookupError, AttributeError, TypeError) as exc:
         raise ParseError(f"bad c-table file {path!r}: {exc!r}") from exc
-    return counting.CountTable(entries=entries)
+    top = max((v for v in table.values() if type(v) is int), default=0)
+    fact = [1]  # m! for m < len(fact), up to the first that reaches `top`
+    while fact[-1] < top:
+        fact.append(fact[-1] * len(fact))
+    for (m, j), value in table.items():
+        if not (type(value) is int and m >= 0
+                and 0 <= value <= fact[min(m, len(fact) - 1)]):
+            raise ParseError(f"bad c-table file {path!r}: c({m}, {j}) is not "
+                             f"an integer from 0 to {m}!")
+    return table
 
 
 def cmd_count(args) -> int:
@@ -314,11 +328,8 @@ def cmd_oracle(args) -> int:
 def cmd_seq(args) -> int:
     if args.what == "st":
         triangle, _ = sequences.sequence_table(args.max_n)
-        rows = [
-            (f"{n},{k}", str(triangle.get(n, k)))
-            for n in range(args.max_n + 1)
-            for k in range(n + 1)
-        ]
+        rows = [(f"{n},{k}", str(value)) for n, row in enumerate(triangle)
+                for k, value in enumerate(row)]
         _emit_rows(rows, args.format, args.out, "st")
     else:  # lift
         families = sequences.lift_families(args.r)

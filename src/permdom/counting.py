@@ -75,7 +75,6 @@ table or g has zeros.  Only entries c(m, j) with 1 <= m < n and j >= 1 enter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
 from operator import add, mul
@@ -89,22 +88,10 @@ MAX_ORDER = 1000
 
 # Largest n and k the CLI accepts for `count d`.  The slowest request it
 # admits, n = k = 95 with a --c-table whose every c(m, j), m < 95 and
-# 1 <= j <= 95, is nonzero and near m! (no real count exceeds it), takes
-# about 5 s on the same machine.
+# 1 <= j <= 95, is nonzero and near m! (no real count exceeds it, and the
+# CLI's table loader rejects a larger one), takes about 5 s on the same
+# machine.
 MAX_D_ORDER = 95
-
-
-@dataclass
-class CountTable:
-    """Exact tallies indexed by (n,), (n, t) or (n, k) tuples."""
-
-    entries: dict[tuple[int, ...], int] = field(default_factory=dict)
-
-    def get(self, *index: int, default: int = 0) -> int:
-        return self.entries.get(tuple(index), default)
-
-    def has_row(self, n: int) -> bool:
-        return any(idx[0] == n for idx in self.entries)
 
 
 def singleton_dom_count(n: int, k: int) -> int:
@@ -270,12 +257,14 @@ def efficient_dom_count(n: int, a) -> int:
     return total
 
 
-def disconnected_count(n: int, k: int, c_table: CountTable) -> int:
+def disconnected_count(n: int, k: int,
+                       c_table: dict[tuple[int, int], int]) -> int:
     """Disconnected permutation graphs on n vertices with domination number
-    k, from the table of connected counts c(m, j) for m < n, by the
-    first-block recurrence of the module docstring."""
+    k, from the connected counts c_table[(m, j)] = c(m, j) for m < n, by
+    the first-block recurrence of the module docstring."""
+    orders = {m for m, _ in c_table}
     for m in range(1, n):
-        if not c_table.has_row(m):
+        if m not in orders:
             raise MissingTableEntry(f"no c(n, k) entries for n = {m}")
     if n < 2 or k < 2:
         return 0  # two or more blocks, each adding at least 1 to gamma
@@ -288,7 +277,7 @@ def disconnected_count(n: int, k: int, c_table: CountTable) -> int:
             for j, v in blocks[m]:
                 for i, x in enumerate(rest[1:k + 1 - j], j + 1):
                     d[i] += v * x
-        c = [0] + [c_table.get(s, j) for j in range(1, k + 1)]
+        c = [0] + [c_table.get((s, j), 0) for j in range(1, k + 1)]
         blocks.append([(j, v) for j, v in enumerate(c) if v])
         row = list(map(add, c, d))
         while row and not row[-1]:

@@ -43,7 +43,6 @@ from functools import lru_cache, reduce
 from itertools import permutations
 from operator import add
 
-from .counting import CountTable
 from .domination import (
     _heuristic_cover,
     _maximal_cliques,
@@ -396,15 +395,11 @@ def census(n: int, jobs: int = 1) -> Census:
     return _merged(_census_chunk, n, jobs)
 
 
-def c_table(max_n: int, tally=full_tally) -> CountTable:
-    """Connected counts c(n, k) for all n <= max_n, from full tallies;
-    `tally(n)` supplies the report for each n."""
-    table = CountTable()
-    for n in range(1, max_n + 1):
-        report = tally(n)
-        for k, count in report.c.items():
-            table.entries[(n, k)] = count
-    return table
+def c_table(max_n: int, tally=full_tally) -> dict[tuple[int, int], int]:
+    """Connected counts {(n, k): c(n, k)} for all n <= max_n, from full
+    tallies; `tally(n)` supplies the report for each n."""
+    return {(n, k): count for n in range(1, max_n + 1)
+            for k, count in tally(n).c.items()}
 
 
 def singleton_domination_tally(n: int) -> dict[int, int]:

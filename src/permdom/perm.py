@@ -88,7 +88,10 @@ def parse_permutation(text: str) -> Permutation:
         tok = tok.strip()
         if not _TOKEN.match(tok):
             raise ParseError(f"bad token {tok!r}")
-        values.append(int(tok))
+        try:
+            values.append(int(tok))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"bad token of {len(tok)} characters") from None
     return Permutation(tuple(values))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .counting import CountTable, f0_column, f1, f1_triangle, g1_column
+from .counting import f0_column, f1, f1_triangle, g1_column
 from .errors import DegenerateR, IndexOutOfRange, UnsupportedOffset
 
 # Largest offset the CLI lifts.  `lift_families` builds every family from 2
@@ -159,17 +159,10 @@ def lift_families(max_r: int) -> dict[int, StOffsetFamily]:
     return families
 
 
-def sequence_table(max_n: int) -> tuple[CountTable, CountTable]:
-    """The St(n, k) triangle for 0 <= k <= n <= max_n, plus the g(n, 1)
-    column (permutations with at least one strong fixed point)."""
+def sequence_table(max_n: int) -> tuple[list[list[int]], list[int]]:
+    """The St(n, k) triangle, rows[n][k] for 0 <= k <= n <= max_n, plus the
+    g(n, 1) column (permutations with at least one strong fixed point)."""
     if max_n > MAX_ST_ORDER:
         raise IndexOutOfRange(
             f"recursion table capped at n = {MAX_ST_ORDER}, got {max_n}")
-    triangle = CountTable()
-    column = CountTable()
-    for n, row in enumerate(f1_triangle(max_n)):
-        for k, value in enumerate(row):
-            triangle.entries[(n, k)] = value
-    for n, value in enumerate(g1_column(max_n)):
-        column.entries[(n,)] = value
-    return triangle, column
+    return f1_triangle(max_n), g1_column(max_n)

@@ -105,8 +105,11 @@ def test_count_efficient(capsys):
 
 def test_count_d_with_c_table_file(capsys, tmp_path):
     table = tmp_path / "c.json"
-    table.write_text(json.dumps({"c": {"1": {"1": 1}, "2": {"1": 1},
-                                       "3": {"1": 3}}}))
+    # c(1, 1) = 1!, a zero, and an order past any n, whose count is checked
+    # against its bound without computing 10**6!.
+    table.write_text(json.dumps({"c": {"1": {"1": 1}, "2": {"1": 1, "2": 0},
+                                       "3": {"1": 3},
+                                       "1000000": {"1": 10 ** 4000}}}))
     payload = run_json(capsys, "count", "d", "--n", "4", "--k", "2",
                        "--c-table", str(table))
     assert payload["d"] == {"4,2": "7"}
@@ -115,6 +118,18 @@ def test_count_d_with_c_table_file(capsys, tmp_path):
 @pytest.mark.parametrize("text", [
     None, "{", '{"n": {}}', '{"c": [1]}', '{"c": {"1": {"1": "one"}}}',
     '{"c": {"1": {"1": null}}}', "[]",
+    # Not counts: a negative value, floats, a bool, overflowing and huge
+    # numbers, and values above m!.
+    '{"c": {"1": {"1": -5}, "2": {"1": 1}, "3": {"1": 3}}}',
+    '{"c": {"1": {"1": 1.9}, "2": {"1": 1}, "3": {"1": 3}}}',
+    '{"c": {"1": {"1": 1.5}}}', '{"c": {"1": {"1": 1.0}}}',
+    '{"c": {"1": {"1": true}, "2": {"1": 1}, "3": {"1": 3}}}',
+    '{"c": {"1": {"1": 1e400}, "2": {"1": 1}, "3": {"1": 3}}}',
+    pytest.param('{"c": {"1": {"1": 1}, "2": {"1": 1}, "3": {"1": 1%s}}}'
+                 % ("0" * 3999), id="4000-digit-count"),
+    '{"c": {"1": {"1": 1}, "2": {"1": 1}, "3": {"1": 7}}}',
+    '{"c": {"1": {"1": 2}}}', '{"c": {"0": {"1": 2}}}',
+    '{"c": {"-1": {"1": 0}}}', '{"c": {"1000000": {"1": -1}}}',
 ])
 def test_count_d_unreadable_c_table_is_an_error(capsys, tmp_path, text):
     table = tmp_path / "c.json"
@@ -136,7 +151,7 @@ def test_count_d_computes_table_when_absent(capsys):
     committed = {(int(n), int(k)): value
                  for n, row in json.loads(text)["c"].items()
                  for k, value in row.items()}
-    assert committed == oracle.c_table(7).entries
+    assert committed == oracle.c_table(7)
 
 
 def test_construct_comb(capsys):

@@ -140,6 +140,9 @@ def assert_parses(out: str) -> None:
 @example(["analyze", "1,2", "--out", OUT_DIRECTORY]).via("--out a directory")
 @example(["construct", "extend", "--perm", NEAR_IDENTITY_64]).via(
     "a disconnected input the exact search cannot finish")
+@example(["analyze", "1," + "9" * 4301]).via("a token past int()'s digit limit")
+@example(["construct", "extend", "--perm", "9" * 4301 + ",1"]).via(
+    "a token past int()'s digit limit")
 def test_generated_argv_gets_an_answer_or_a_typed_error(argv):
     code, out, err, elapsed = call(argv)
     assert code in (0, 1, 2, 3), (code, err)

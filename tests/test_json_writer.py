@@ -34,11 +34,16 @@ PAYLOADS = st.recursive(
                  max_size=6),  # ints mixed with bool and None
         st.lists(PAIR, min_size=1, max_size=6),
         st.lists(st.one_of(PAIR, NEAR_PAIRS), min_size=1, max_size=6),
+        # Tuples, which `json` writes as arrays: `analyze`'s edge pairs
+        # and degrees are tuples.
+        st.lists(st.one_of(PAIR, NEAR_PAIRS).map(tuple), max_size=6),
+        st.lists(st.one_of(INTS, inner), max_size=5).map(tuple),
         st.dictionaries(TEXT, inner, max_size=5),
     ),
     max_leaves=30,
 )
-# Types payloads do not hold, which the writer hands to `json.dumps`.
+# Floats and dicts with non-str keys, which the writer hands to
+# `json.dumps`, and tuples among them.
 OTHER = st.recursive(
     st.one_of(SCALARS, st.floats()),
     lambda inner: st.one_of(
@@ -72,6 +77,9 @@ def test_writer_falls_back_to_json_dumps_nested(value):
     [[1, 2], [3, 4]], {"edges": [[-1, 2 ** 64], [0, -(2 ** 70)]]},
     [[1, 2], [True, 3]], [[1, 2], [3, None]], [[1, 2], []], [[1, 2], [3]],
     [[1, 2], [3, 4, 5]], [[1, 2], (3, 4)], [[1, 2], [3, 4.0]], [[[1, 2]]],
+    (), (1,), (1, 2, 3), ((1, 2), (3, 4)), [(1, 2), (-3, 2 ** 64)],
+    ((1, 2), [3, 4]), ((1, True),), [(1, 2), (3,)], ((), [1]),
+    {"t": ("a", None, (1, [2]))},
 ])
 def test_writer_edge_cases(value):
     assert _json_text(value) == json.dumps(value, indent=2)

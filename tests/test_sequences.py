@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from permdom.counting import f1
+from permdom.counting import f1, f1_triangle, g1_column
 from permdom.errors import IndexOutOfRange, UnsupportedOffset
 from permdom.sequences import (
     RationalPolynomial,
@@ -63,9 +63,11 @@ def test_lifted_polynomials_match_recursion(r):
 
 def test_sequence_table():
     triangle, column = sequence_table(5)
-    assert [triangle.get(3, k) for k in range(4)] == [3, 2, 0, 1]
-    assert [triangle.get(2, k) for k in range(3)] == [1, 0, 1]
-    assert column.get(5) == 43
-    assert column.get(0) == 0
+    assert triangle == f1_triangle(5) and column == g1_column(5)
+    assert triangle[3] == [3, 2, 0, 1]
+    assert triangle[2] == [1, 0, 1]
+    assert len(triangle) == len(column) == 6
+    assert column[5] == 43
+    assert column[0] == 0
     with pytest.raises(IndexOutOfRange):
         sequence_table(31)
