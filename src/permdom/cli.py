@@ -187,8 +187,10 @@ def cmd_analyze(args) -> int:
 
 def _load_c_table(path: str) -> dict[tuple[int, int], int]:
     """The connected counts {(m, j): c(m, j)} of a `{"c": {m: {j: count}}}`
-    file.  Each count is a JSON integer with 0 <= c(m, j) <= m!: no count of
-    order-m permutations is larger, and the bound keeps d(n, k) as small as
+    file.  Each count is a JSON integer c(m, j) >= 0 at an order m >= 0, and
+    nonzero only for 1 <= j <= m, since no graph on m vertices has
+    domination number above m; each order's counts sum to at most m!, the
+    number of order-m permutations.  The bounds keep d(n, k) as small as
     `counting.MAX_D_ORDER` says."""
     try:
         with open(path) as fh:
@@ -197,15 +199,22 @@ def _load_c_table(path: str) -> dict[tuple[int, int], int]:
                  for m, row in rows.items() for j, value in row.items()}
     except (OSError, ValueError, LookupError, AttributeError, TypeError) as exc:
         raise ParseError(f"bad c-table file {path!r}: {exc!r}") from exc
-    top = max((v for v in table.values() if type(v) is int), default=0)
+    sums: dict[int, int] = {}  # order m -> sum over j of c(m, j)
+    for (m, j), value in table.items():
+        if not (type(value) is int and m >= 0 and value >= 0
+                and (not value or 1 <= j <= m)):
+            raise ParseError(f"bad c-table file {path!r}: c({m}, {j}) is not "
+                             "an integer >= 0 at an order >= 0, and 0 unless "
+                             "1 <= j <= m")
+        sums[m] = sums.get(m, 0) + value
+    top = max(sums.values(), default=0)
     fact = [1]  # m! for m < len(fact), up to the first that reaches `top`
     while fact[-1] < top:
         fact.append(fact[-1] * len(fact))
-    for (m, j), value in table.items():
-        if not (type(value) is int and m >= 0
-                and 0 <= value <= fact[min(m, len(fact) - 1)]):
-            raise ParseError(f"bad c-table file {path!r}: c({m}, {j}) is not "
-                             f"an integer from 0 to {m}!")
+    for m, total in sums.items():
+        if total > fact[min(m, len(fact) - 1)]:
+            raise ParseError(f"bad c-table file {path!r}: the counts c({m}, j) "
+                             f"sum past {m}!")
     return table
 
 

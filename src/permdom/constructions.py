@@ -79,6 +79,13 @@ def is_comb(g: PermutationGraph) -> CombWitness | None:
     A comb on n vertices has n/2 leaves with pairwise distinct non-leaf
     neighbors, and the non-leaves induce a path.  The single-edge graph on
     two vertices counts as the degenerate comb (one-vertex spine).
+
+    From n = 4 on this is a tree test: g is connected with n - 1 edges,
+    exactly n/2 vertices are leaves, their neighbors are pairwise distinct,
+    and no vertex has degree above 3.  No leaf of a connected graph on four
+    or more vertices is adjacent to another, so the n/2 distinct neighbors
+    are all n/2 non-leaves, each holding one leaf; removing the leaves from
+    the tree leaves a tree of maximum degree 2, a path.
     """
     n = g.n
     if n % 2:
@@ -90,37 +97,17 @@ def is_comb(g: PermutationGraph) -> CombWitness | None:
             return CombWitness(frozenset({1}), frozenset({2}), {1: 2})
         return None
 
-    leaves = [v for v in range(1, n + 1) if g.degree(v) == 1]
-    if len(leaves) != n // 2:
+    degrees = g.degrees()
+    if (not is_connected(g) or sum(degrees) != 2 * (n - 1)
+            or max(degrees) > 3):
         return None
-    spine = frozenset(range(1, n + 1)) - frozenset(leaves)
-    matching = {}
-    for leaf in leaves:
-        (nb,) = g.neighbors(leaf)
-        if nb not in spine or nb in matching:
-            return None
-        matching[nb] = leaf
-    if len(matching) != n // 2:
+    leaves = [v for v, d in enumerate(degrees, start=1) if d == 1]
+    # A leaf's row has one bit, whose length is its neighbor.
+    matching = {g.rows[leaf - 1].bit_length(): leaf for leaf in leaves}
+    if len(leaves) != n // 2 or len(matching) != n // 2:
         return None
-    # Spine must induce a path: degrees within the spine are 1,2,...,2,1 and
-    # the spine is connected.
-    spine_deg = {v: len(g.neighbors(v) & spine) for v in spine}
-    ends = [v for v, d in spine_deg.items() if d == 1]
-    if sorted(spine_deg.values()) != [1, 1] + [2] * (len(spine) - 2):
-        return None
-    seen = {ends[0]}
-    frontier = [ends[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v) & spine:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    if seen != spine:
-        return None
-    return CombWitness(spine=spine, teeth=frozenset(leaves), matching=matching)
+    return CombWitness(spine=frozenset(matching), teeth=frozenset(leaves),
+                       matching=matching)
 
 
 def _extend(p: Permutation, n: int) -> Permutation:

@@ -1,9 +1,10 @@
 """Permutation graphs with bit-vector adjacency.
 
 Vertices are {1..n}; row v holds the open neighborhood N(v) as an integer
-bitmask with bit (u-1) set for each neighbor u.  n is capped at 64 so every
-row fits a machine word, which keeps the exact-solver inner loop to a few
-bitwise ors.
+bitmask with bit (u-1) set for each neighbor u.  Python ints have no word
+size, so the 64-vertex cap is not about rows: it bounds the exponential
+exact search and the maximal-clique listing, whose worst cases at the cap
+are open items in ROADMAP.md.
 """
 from __future__ import annotations
 
@@ -94,17 +95,15 @@ def build_graph(p: Permutation) -> PermutationGraph:
     n = p.n
     if n > MAX_GRAPH_ORDER:
         raise OrderTooLarge(f"n = {n} exceeds the {MAX_GRAPH_ORDER}-vertex cap")
-    pos = p._positions  # pos[v - 1] = position of value v
+    # One scan of the image: when v comes after the set P of values placed
+    # so far, its neighbors are the larger values in P and the smaller
+    # values not yet placed, N(v) = P ^ ((1 << (v - 1)) - 1).
     rows = [0] * n
-    for i in range(n):
-        pi = pos[i]
-        bit = 1 << i
-        row = rows[i]
-        for j in range(i + 1, n):
-            if pi > pos[j]:
-                row |= 1 << j
-                rows[j] |= bit
-        rows[i] = row
+    placed = 0
+    for v in p.image:
+        bit = 1 << (v - 1)
+        rows[v - 1] = placed ^ (bit - 1)
+        placed |= bit
     return PermutationGraph(n=n, rows=tuple(rows), source=p)
 
 

@@ -52,11 +52,6 @@ class Permutation:
         return f"Permutation([{self}])"
 
 
-def permutation(values) -> Permutation:
-    """Build a Permutation from any iterable of values."""
-    return Permutation(tuple(values))
-
-
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 

@@ -130,6 +130,13 @@ def test_count_d_with_c_table_file(capsys, tmp_path):
     '{"c": {"1": {"1": 1}, "2": {"1": 1}, "3": {"1": 7}}}',
     '{"c": {"1": {"1": 2}}}', '{"c": {"0": {"1": 2}}}',
     '{"c": {"-1": {"1": 0}}}', '{"c": {"1000000": {"1": -1}}}',
+    # A nonzero count at j > m or j < 1, and an order whose counts sum past
+    # m! though each is at most m!.
+    '{"c": {"1": {"1": 1}, "2": {"1": 1, "3": 2}, "3": {"1": 3}}}',
+    '{"c": {"1": {"1": 1}, "2": {"0": 1, "1": 1}, "3": {"1": 3}}}',
+    '{"c": {"0": {"0": 1}, "1": {"1": 1}, "2": {"1": 1}, "3": {"1": 3}}}',
+    '{"c": {"1": {"1": 1}, "2": {"1": 1, "2": 2}, "3": {"1": 3}}}',
+    '{"c": {"1": {"1": 1}, "2": {"1": 1}, "3": {"1": 3, "2": 3, "3": 1}}}',
 ])
 def test_count_d_unreadable_c_table_is_an_error(capsys, tmp_path, text):
     table = tmp_path / "c.json"

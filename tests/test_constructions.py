@@ -91,6 +91,20 @@ def test_comb_uniqueness_by_enumeration(n):
     assert sorted(found) == sorted([comb_sigma(n).image, comb_tau(n).image])
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_is_comb_accepts_exactly_the_comb_permutations(n):
+    # The comb uniqueness `verify` checks, read off is_comb over all of S_n.
+    if n == 2:
+        expected = [(2, 1)]
+    elif n == 4:
+        expected = [(2, 4, 1, 3), (3, 1, 4, 2)]
+    else:
+        expected = sorted([comb_sigma(n).image, comb_tau(n).image])
+    found = [image for image in perms(range(1, n + 1))
+             if is_comb(build_graph(Permutation(image))) is not None]
+    assert found == expected
+
+
 def test_extend_examples():
     assert extend_preserving_gamma(parse_permutation("2,1")).image == (2, 3, 1)
     assert extend_preserving_gamma(parse_permutation("3,1,4,2")).image == (

@@ -39,16 +39,20 @@ def test_build_examples():
 
 
 def test_edges_are_exactly_the_inversions():
-    for image in perms(range(1, 6)):
-        p = Permutation(image)
-        g = build_graph(p)
-        inversions = {
-            (i, j)
-            for i in range(1, 6)
-            for j in range(i + 1, 6)
-            if p.position(i) > p.position(j)
-        }
-        assert set(g.edges()) == inversions
+    for n in range(8):
+        for image in perms(range(1, n + 1)):
+            p = Permutation(image)
+            g = build_graph(p)
+            inversions = {
+                (i, j)
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+                if p.position(i) > p.position(j)
+            }
+            assert set(g.edges()) == inversions
+            # edges() reads each row's larger neighbors; read the smaller.
+            assert {(u, v) for v in range(1, n + 1)
+                    for u in g.neighbors(v) if u < v} == inversions
 
 
 @settings(max_examples=100, deadline=None)
