@@ -63,7 +63,3 @@ class InfeasibleGamma(PermdomError):
 
 class UnsupportedOffset(PermdomError):
     """No closed form is implemented for the requested offset."""
-
-
-class DegenerateR(PermdomError):
-    """The lifting right-hand side collapsed to the zero polynomial."""

@@ -13,12 +13,14 @@ next-to-last value places the one value left in line and calls the
 visitor, with no deeper call.
 
 The sweep also sieves the 2^n vertex subsets: it carries a 2^n-bit mask
-whose bit T is set while subset T meets every closed neighborhood placed so
-far, and ands in one precomputed mask per placed value.  At a leaf the mask
-holds exactly the dominating sets, so gamma is the size of its smallest
-member.  Every subset is tested and none is skipped, which makes the sieve
-exhaustive ground truth; the pruned search in `domination`, which
-`analyze` needs beyond the oracle's orders, is its differential oracle.
+whose bit t is set while the subset order[t] meets every closed
+neighborhood placed so far, and ands in one precomputed mask per placed
+value.  `order` lists the subsets by size, largest first, so at a leaf the
+mask holds exactly the dominating sets and its highest bit is a smallest
+one: gamma is card[dom.bit_length() - 1].  Every subset is tested and none
+is skipped, which makes the sieve exhaustive ground truth; the pruned
+search in `domination`, which `analyze` needs beyond the oracle's orders,
+is its differential oracle.
 
 The readers are visitors: `_tally_chunk` for `oracle tally`, which pays
 for nothing else; `_census_chunk`, one pass that gathers every fact
@@ -129,35 +131,34 @@ def _check_cap(n: int, cap: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(meet, size) for the sieve over the vertex subsets of [n], subset T
-    being bit T of a 2^n-bit mask: meet[S] has bit T set when T meets S,
-    and size[k] when T has k members.
+def _subset_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """(meet, card, order) for the sieve over the vertex subsets of [n].
 
-    Each table takes O(2^n) big-int operations.  With `low` the lowest
-    member of S, meet[S] = meet[S ^ low] | contains[low], where
-    contains[i] is periodic: the subsets holding element i are the blocks
-    [2^i, 2^(i+1)) modulo 2^(i+1).  Subsets of [i+1] that hold element i
-    are those of [i] shifted up by 2^i, so size grows by
-    size[k] | size[k-1] << 2^i.  Built on first use, never at import.
+    Bit t of a 2^n-bit sieve mask stands for the subset order[t]: the
+    subsets by size, largest first, ties in binary order.  meet[S] has bit
+    t set when order[t] meets S, and card[t] = |order[t]|.  So the smallest
+    subset in a nonzero mask is its highest bit.
+
+    With `low` the lowest member of S, meet[S] = meet[S ^ low] |
+    contains[low], contains[i] being the mask of the subsets that hold
+    element i.  The subsets are written as text, one row of n binary digits
+    each, highest bit first, and each element's column is read back as one
+    int; O(2^n) big-int operations in all.  Built on first use, never at
+    import.
+
+    >>> _subset_tables(2)
+    ((0, 3, 5, 7), (2, 1, 1, 0), (3, 1, 2, 0))
     """
-    every = (1 << (1 << n)) - 1
-    contains = []
-    for i in range(n):
-        block = 1 << i
-        repeat = every // ((1 << 2 * block) - 1)  # one bit every 2^(i+1)
-        contains.append(repeat * (((1 << block) - 1) << block))
+    order = sorted(range(1 << n), key=int.bit_count, reverse=True)  # stable
+    card = [s.bit_count() for s in order]
+    top = 1 << n  # bin(s | top) is "0b1" and then s in exactly n digits
+    text = "".join([bin(s | top) for s in reversed(order)])
+    contains = [int(text[n + 2 - i::n + 3], 2) for i in range(n)]
     meet = [0] * (1 << n)
     for s in range(1, 1 << n):
         low = s & -s
         meet[s] = meet[s ^ low] | contains[low.bit_length() - 1]
-    size = [1]  # subsets of [0]: the empty set, index 0
-    for i in range(n):
-        shift = 1 << i
-        size = ([size[0]]
-                + [size[k] | size[k - 1] << shift for k in range(1, i + 1)]
-                + [size[i] << shift])
-    return tuple(meet), tuple(size)
+    return tuple(meet), tuple(card), tuple(order)
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +167,7 @@ def _meet_once_table(n: int) -> tuple[int, ...]:
     one member.  With `low` the lowest member of S, T meets S once when it
     meets S ^ low once and misses low, or holds low and misses S ^ low;
     meet[low] is the mask of the subsets that hold low."""
-    meet, _ = _subset_tables(n)
+    meet = _subset_tables(n)[0]
     once = [0] * (1 << n)
     for s in range(1, 1 << n):
         low = s & -s
@@ -175,13 +176,11 @@ def _meet_once_table(n: int) -> tuple[int, ...]:
     return tuple(once)
 
 
-def _gamma(dom: int, size: tuple[int, ...]) -> int:
-    """The size of the smallest subset in the sieve mask `dom`: the
-    domination number when `dom` comes from a sweep leaf."""
-    for k, mask in enumerate(size):
-        if dom & mask:
-            return k
-    raise AssertionError("every graph is dominated by its full vertex set")
+def _gamma(dom: int, card: tuple[int, ...]) -> int:
+    """The size of the smallest subset in the nonzero sieve mask `dom`, its
+    highest bit: the domination number when `dom` comes from a sweep leaf,
+    which always holds the full vertex set."""
+    return card[dom.bit_length() - 1]
 
 
 def sweep(n: int, visit, lead=()) -> None:
@@ -192,11 +191,12 @@ def sweep(n: int, visit, lead=()) -> None:
     The arguments are the one-line notation, the closed neighborhoods
     (rows[v-1] = N[v] as a bitmask), whether the graph is connected, the
     number of strong fixed points, the number of singleton dominators, and
-    the dominating sets as a 2^n-bit mask (bit T is set when the vertex
-    subset T dominates; vertex v is bit v-1 of T).  `image` and `rows` are
-    the walk's own lists, overwritten as it moves on: a visitor that keeps
-    them must copy them.  A lead that repeats a value or names one above n
-    gives no call.
+    the dominating sets as a 2^n-bit mask: bit t is set when the vertex
+    subset order[t] of `_subset_tables(n)` dominates (vertex v is bit v-1
+    of a subset), and its highest set bit is a smallest dominating set.
+    `image` and `rows` are the walk's own lists, overwritten as it moves
+    on: a visitor that keeps them must copy them.  A lead that repeats a
+    value or names one above n gives no call.
 
     Values are placed one position at a time.  When v is placed after the
     prefix set P, N[v] is already final: smaller values are neighbors
@@ -219,7 +219,7 @@ def sweep(n: int, visit, lead=()) -> None:
         visit([], [], True, 0, 0, 1)  # the empty set dominates the empty graph
         return
     _check_cap(n, HARD_CAP)  # the sieve tables hold 2^n masks of 2^n bits
-    meet, _ = _subset_tables(n)
+    meet = _subset_tables(n)[0]
     full = (1 << n) - 1
     # allowed[d]: the values position d + 1 may hold, as a bitmask.
     allowed = [full] * n
@@ -287,11 +287,12 @@ def _tally_chunk(args) -> Counter:
     """(gamma, connected, singleton dominators, strong fixed points) ->
     number of permutations, over the ones that begin with `lead`."""
     n, lead = args
-    _, size = _subset_tables(n)
+    card = _subset_tables(n)[1]
     counts = Counter()
 
     def visit(image, rows, connected, strong, singles, dom):
-        counts[_gamma(dom, size), connected, singles, strong] += 1
+        # _gamma(dom, card), inlined: this is the sweep's hottest visitor.
+        counts[card[dom.bit_length() - 1], connected, singles, strong] += 1
 
     sweep(n, visit, lead)
     return counts
@@ -305,17 +306,17 @@ def _census_chunk(args) -> Census:
     full.  `optimal` counts where it has minimum size, among the
     permutations no end-pattern quick rule matches."""
     n, lead = args
-    _, size = _subset_tables(n)
+    _, card, order = _subset_tables(n)
     detail = n <= DETAIL_MAX_N
     once = _meet_once_table(n) if detail else ()
-    two_sets = size[2] if n >= 2 else 0
+    two_sets = sum(1 << t for t, k in enumerate(card) if k == 2)
     full = (1 << n) - 1
     tally, singletons, pairs, efficient = Counter(), Counter(), Counter(), Counter()
     excluded = optimal = 0
 
     def visit(image, rows, connected, strong, singles, dom):
         nonlocal excluded, optimal
-        gamma = _gamma(dom, size)
+        gamma = _gamma(dom, card)
         tally[gamma, connected, singles, strong] += 1
         if singles:
             singletons.update(k for k, row in enumerate(rows, start=1) if row == full)
@@ -324,7 +325,7 @@ def _census_chunk(args) -> Census:
             while two:
                 bit = two & -two
                 two ^= bit
-                subset = bit.bit_length() - 1
+                subset = order[bit.bit_length() - 1]
                 low = subset & -subset
                 u, v = low.bit_length(), (subset ^ low).bit_length()
                 pairs[u, v, rows[u - 1] >> (v - 1) & 1] += 1
@@ -334,7 +335,7 @@ def _census_chunk(args) -> Census:
             while hits:
                 bit = hits & -hits
                 hits ^= bit
-                efficient[bit.bit_length() - 1] += 1
+                efficient[order[bit.bit_length() - 1]] += 1
         chosen, _ = _heuristic_cover(_maximal_cliques(image), rows)
         cover = 0
         for v in chosen:
@@ -412,11 +413,11 @@ def connected_gamma_permutations(n: int, k: int):
     """All permutations of [n] with a connected graph of domination number
     k, in lexicographic order."""
     _check_cap(n, DEFAULT_CAP)
-    _, size = _subset_tables(n)
+    card = _subset_tables(n)[1]
     found = []
 
     def visit(image, rows, connected, strong, singles, dom):
-        if connected and _gamma(dom, size) == k:
+        if connected and _gamma(dom, card) == k:
             found.append(Permutation(tuple(image)))
 
     sweep(n, visit)

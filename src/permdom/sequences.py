@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .counting import f0_column, f1, f1_triangle, g1_column
-from .errors import DegenerateR, IndexOutOfRange, UnsupportedOffset
+from .errors import IndexOutOfRange, UnsupportedOffset
 
 # Largest offset the CLI lifts.  `lift_families` builds every family from 2
 # up; `seq lift --r 80` takes 0.1-0.2 s on a 2-core Xeon under CPython
@@ -123,7 +123,9 @@ def _lift(r: int, shifted: dict[int, list[int]], st0: list[int]) -> StOffsetFami
       since C(k+1, i) = C(k, i) + C(k, i-1);
     - right-hand side: R(k) = sum_s St(r-s, 0) p_s(k-1) = sum_i c_i C(k, i)
       over s = 0 and s = 2..r-1, with p_0 = 1 (offset 1 is 0), a sum of
-      integer vectors;
+      integer vectors.  It is never zero: every term is a count, and
+      R(1) >= St(r, 0) > 0, as the decreasing permutation of order r has
+      no strong fixed point;
     - telescoping sum: p_r(k) - p_r(k-1) = R(k) with p_r(0) = St(r, 0)
       gives a_0 = St(r, 0) and a_i = c_{i-1} + c_i for i >= 1, by the
       hockey stick sum_{j=0}^{k} C(j, i) = C(k+1, i+1).
@@ -137,10 +139,8 @@ def _lift(r: int, shifted: dict[int, list[int]], st0: list[int]) -> StOffsetFami
         rhs += [0] * (len(term) - len(rhs))
         for i, c in enumerate(term):
             rhs[i] += weight * c
-    while rhs and rhs[-1] == 0:
+    while rhs[-1] == 0:
         rhs.pop()
-    if not rhs:
-        raise DegenerateR(f"R(k) vanishes for offset {r}")
 
     a = [st0[r]] + [lo + hi for lo, hi in zip(rhs, rhs[1:] + [0])]
     return StOffsetFamily(r=r, polynomial=_monomial(a), k0_value=st0[r],

@@ -147,11 +147,11 @@ def test_minimum_cover_matches_plain_enumeration_on_the_s8_sweep():
     from walk import leaves
 
     full = (1 << 8) - 1
-    _, size = _subset_tables(8)
+    card = _subset_tables(8)[1]
     for _, rows, *_, dom in leaves(8):
         (cover,) = _minimum_covers(rows, full, 1)
         assert cover == first_cover_by_plain_enumeration(rows, full)
-        assert _gamma(dom, size) == len(cover)
+        assert _gamma(dom, card) == len(cover)
 
 
 @pytest.mark.parametrize("build", [comb_sigma, comb_tau])

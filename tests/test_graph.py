@@ -26,6 +26,18 @@ def graph(text):
     return build_graph(parse_permutation(text))
 
 
+def rows_by_pair_loop(p: Permutation) -> tuple[int, ...]:
+    """Open rows of p's graph, pair by pair from p's positions: values
+    u < v are adjacent when v stands before u."""
+    rows = [0] * p.n
+    for u in range(1, p.n + 1):
+        for v in range(u + 1, p.n + 1):
+            if p.position(v) < p.position(u):
+                rows[u - 1] |= 1 << (v - 1)
+                rows[v - 1] |= 1 << (u - 1)
+    return tuple(rows)
+
+
 def test_mask_round_trip():
     assert vertices_of(mask_of([1, 3, 6])) == {1, 3, 6}
     assert mask_of([]) == 0
@@ -67,7 +79,11 @@ def test_edges_are_exactly_the_inversions_up_to_64(image):
         for b in range(a + 1, len(image))
         if image[a] > image[b]
     )
-    assert build_graph(Permutation(tuple(image))).edges() == inversions
+    p = Permutation(tuple(image))
+    g = build_graph(p)
+    assert g.edges() == inversions
+    # edges() reads only each row's larger neighbors: check whole rows.
+    assert g.rows == rows_by_pair_loop(p)
 
 
 def test_order_cap():

@@ -13,11 +13,15 @@ from math import comb
 import pytest
 
 from permdom.counting import f0_column, f1_triangle
-from permdom.errors import DegenerateR, UnsupportedOffset
-from permdom.sequences import lift_families
+from permdom.errors import UnsupportedOffset
+from permdom.sequences import MAX_LIFT_OFFSET, lift_families
 
 MAX_R = 40
 MAX_K = 40
+
+
+class DegenerateR(Exception):
+    """The reference's right-hand side collapsed to the zero polynomial."""
 
 
 @dataclass(frozen=True)
@@ -155,6 +159,21 @@ def test_newton_coefficients_give_the_diagonal(r):
     assert families()[r].polynomial(-1) == 0
     for k in range(MAX_K + 1):
         assert sum(c * comb(k, i) for i, c in enumerate(a)) == rows[k + r][k]
+
+
+def test_the_right_hand_side_is_positive_at_one_for_every_offset():
+    # R(1) = sum_s St(r-s, 0) p_s(0) over s = 0 and s = 2..r-1, p_0 = 1 and
+    # p_s(0) = St(s, 0): a sum of counts whose s = 0 term St(r, 0) is
+    # positive, so R(k) is never the zero polynomial.
+    st0 = f0_column(MAX_LIFT_OFFSET)
+    rows = f1_triangle(MAX_LIFT_OFFSET + 1)
+    lifted = lift_families(MAX_LIFT_OFFSET)
+    for r in range(2, MAX_LIFT_OFFSET + 1):
+        r1 = st0[r] + sum(st0[r - s] * st0[s] for s in range(2, r))
+        assert r1 >= st0[r] > 0
+        # p_r(1) - p_r(0) = R(1), and in Newton coefficients a_1 = R(1).
+        assert rows[r + 1][1] - rows[r][0] == r1
+        assert lifted[r].newton_coefficients[1] == r1
 
 
 @pytest.mark.parametrize("r", [-1, 0, 1])

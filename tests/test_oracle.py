@@ -154,9 +154,10 @@ def test_census_sets_stop_above_the_detail_order(monkeypatch):
 def test_meet_once_table_by_definition():
     for n in range(6):
         once = _meet_once_table(n)
+        order = _subset_tables(n)[2]
         for s in range(1 << n):
-            assert once[s] == sum(1 << t for t in range(1 << n)
-                                  if (s & t).bit_count() == 1)
+            assert once[s] == sum(1 << t for t, subset in enumerate(order)
+                                  if (s & subset).bit_count() == 1)
 
 
 def test_singleton_domination_tally_matches_formula():
@@ -195,7 +196,9 @@ def test_sweep_matches_graphs_built_from_scratch():
 
     for n in range(1, 8):
         full = (1 << n) - 1
-        _, size = _subset_tables(n)
+        _, card, order = _subset_tables(n)
+        size = [sum(1 << t for t, c in enumerate(card) if c == k)
+                for k in range(n + 1)]
         visits = leaves(n)
         assert len(visits) == factorial(n)
         for expected, visit in zip(permutations(range(1, n + 1)), visits,
@@ -211,12 +214,14 @@ def test_sweep_matches_graphs_built_from_scratch():
             gamma = domination_number_exact(g).gamma
             assert len(_minimum_covers(rows, full, 1)[0]) == gamma
             # The sieve against the pruned search.
-            assert _gamma(dom, size) == gamma
+            assert _gamma(dom, card) == gamma
             assert (dom & size[gamma]).bit_count() == (
                 count_minimum_dominating_sets(g))
             for k in range(gamma, n + 1):
                 first = dom & size[k] & -(dom & size[k])
-                assert is_dominating(g, vertices_of(first.bit_length() - 1))
+                subset = order[first.bit_length() - 1]
+                assert subset.bit_count() == k
+                assert is_dominating(g, vertices_of(subset))
 
 
 def test_sieve_mask_is_exactly_the_dominating_sets():
@@ -225,35 +230,40 @@ def test_sieve_mask_is_exactly_the_dominating_sets():
     from permdom.perm import Permutation
 
     for n in range(1, 7):
+        order = _subset_tables(n)[2]
         for image, *_, dom in leaves(n):
             g = build_graph(Permutation(image))
-            assert dom == sum(1 << t for t in range(1 << n)
-                              if is_dominating(g, vertices_of(t)))
+            assert dom == sum(1 << t for t, subset in enumerate(order)
+                              if is_dominating(g, vertices_of(subset)))
 
 
 def test_subset_tables_by_definition():
     for n in range(6):
-        meet, size = _subset_tables(n)
-        assert len(meet) == 1 << n and len(size) == n + 1
+        meet, card, order = _subset_tables(n)
+        assert len(meet) == 1 << n
+        # Every subset once, by size, largest first, ties in binary order.
+        assert order == tuple(sorted(range(1 << n),
+                                     key=lambda s: (-s.bit_count(), s)))
+        assert card == tuple(s.bit_count() for s in order)
         for s in range(1 << n):
-            assert meet[s] == sum(1 << t for t in range(1 << n) if s & t)
-        for k in range(n + 1):
-            assert size[k] == sum(1 << t for t in range(1 << n)
-                                  if t.bit_count() == k)
+            assert meet[s] == sum(1 << t for t, subset in enumerate(order)
+                                  if s & subset)
 
 
 def test_sieve_on_the_smallest_orders():
-    assert _subset_tables(0) == ((0,), (1,))
+    assert _subset_tables(0) == ((0,), (0,), (0,))
     assert leaves(0) == [((), (), True, 0, 0, 1)]
-    assert _subset_tables(1) == ((0, 0b10), (0b1, 0b10))
-    # One vertex: of the subsets {} and {1}, only {1} dominates.
-    assert leaves(1) == [((1,), (1,), True, 1, 1, 0b10)]
-    assert _gamma(0b10, _subset_tables(1)[1]) == 1
-    # Two vertices, subsets {}, {1}, {2}, {1,2} as bits 0-3.  The identity
+    assert _subset_tables(1) == ((0, 0b1), (1, 0), (1, 0))
+    # One vertex: of the subsets {1} and {} (bits 0 and 1), only {1}
+    # dominates.
+    assert leaves(1) == [((1,), (1,), True, 1, 1, 0b1)]
+    assert _gamma(0b1, _subset_tables(1)[1]) == 1
+    # Two vertices, subsets {1,2}, {1}, {2}, {} as bits 0-3.  The identity
     # has no edge: two strong fixed points, and only {1,2} dominates.  2,1
     # is an edge: both vertices dominate alone.
-    assert leaves(2) == [((1, 2), (0b01, 0b10), False, 2, 0, 0b1000),
-                         ((2, 1), (0b11, 0b11), True, 0, 2, 0b1110)]
+    assert _subset_tables(2) == ((0, 3, 5, 7), (2, 1, 1, 0), (3, 1, 2, 0))
+    assert leaves(2) == [((1, 2), (0b01, 0b10), False, 2, 0, 0b1),
+                         ((2, 1), (0b11, 0b11), True, 0, 2, 0b111)]
 
 
 def test_sweep_above_the_hard_cap_fails_before_building_tables():
