@@ -29,8 +29,6 @@ from .domination import (
     count_singleton_dominators,
     domination_number_exact,
     heuristic_dominating_set,
-    is_dominating,
-    is_efficient_dominating,
     quick_rule_position_ends,
     quick_rule_value_ends,
 )

@@ -2,8 +2,7 @@
 connected witness for every feasible domination number."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .domination import domination_number_exact
 from .errors import (
     DisconnectedInput,
@@ -16,14 +15,17 @@ from .graph import PermutationGraph, build_graph, is_connected
 from .perm import MAX_GRAPH_ORDER, Permutation, decreasing
 
 
-@dataclass(frozen=True)
-class CombWitness:
+class CombWitness(FrozenRecord):
     """Partition of a comb: a path (spine), an independent set (teeth), and
-    the perfect matching between them."""
+    the perfect matching between them (spine vertex -> its leaf)."""
 
-    spine: frozenset[int]
-    teeth: frozenset[int]
-    matching: dict[int, int]  # spine vertex -> its leaf
+    __slots__ = ("spine", "teeth", "matching")
+
+    def __init__(self, spine: frozenset[int], teeth: frozenset[int],
+                 matching: dict[int, int]) -> None:
+        object.__setattr__(self, "spine", spine)
+        object.__setattr__(self, "teeth", teeth)
+        object.__setattr__(self, "matching", matching)
 
 
 def _piecewise(n: int, special: dict[int, int], residue_rules) -> Permutation:

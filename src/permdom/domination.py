@@ -21,8 +21,8 @@ and reorders none.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
+from ._record import FrozenRecord
 from .graph import PermutationGraph
 from .perm import Permutation
 
@@ -32,20 +32,15 @@ QUICK_RULE_ENDS = "quick_rule_ends"
 HEURISTIC = "heuristic"
 
 
-@dataclass(frozen=True)
-class DominationResult:
-    gamma: int
-    witness: frozenset[int]
-    method: str
-    repaired: bool = False
+class DominationResult(FrozenRecord):
+    __slots__ = ("gamma", "witness", "method", "repaired")
 
-
-def is_dominating(g: PermutationGraph, d) -> bool:
-    """True when the closed neighborhoods of d cover every vertex."""
-    cover = 0
-    for v in d:
-        cover |= g.closed_row(v)
-    return cover == g.full_mask()
+    def __init__(self, gamma: int, witness: frozenset[int], method: str,
+                 repaired: bool = False) -> None:
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "repaired", repaired)
 
 
 def domination_number_exact(g: PermutationGraph) -> DominationResult:
@@ -163,17 +158,6 @@ def singleton_dominators_by_position(p: Permutation) -> frozenset[int]:
         and min(pos[:k - 1], default=n + 1) > here
         and max(pos[k:], default=0) < here
     )
-
-
-def is_efficient_dominating(g: PermutationGraph, d) -> bool:
-    """Dominating with pairwise disjoint closed neighborhoods."""
-    cover = 0
-    for v in d:
-        row = g.closed_row(v)
-        if cover & row:
-            return False
-        cover |= row
-    return cover == g.full_mask()
 
 
 def quick_rule_value_ends(p: Permutation) -> DominationResult | None:

@@ -8,8 +8,7 @@ are open items in ROADMAP.md.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord
 from .errors import OrderTooLarge, VertexOutOfRange
 from .perm import MAX_GRAPH_ORDER, Permutation
 
@@ -34,11 +33,14 @@ def vertices_of(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class PermutationGraph:
-    n: int
-    rows: tuple[int, ...]  # rows[v-1] = open neighborhood of v as a bitmask
-    source: Permutation
+class PermutationGraph(FrozenRecord):
+    # rows[v-1] = open neighborhood of v as a bitmask
+    __slots__ = ("n", "rows", "source")
+
+    def __init__(self, n: int, rows: tuple[int, ...], source: Permutation) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "source", source)
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check(v)

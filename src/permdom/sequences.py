@@ -11,10 +11,11 @@ exact rationals: the offset-4 closed form has half-integer coefficients.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
+# `fractions` (which loads `decimal`) is imported inside the functions that
+# use it, so a cold start of the CLI does not pay for it.
+from ._record import FrozenRecord
 from .counting import f0_column, f1, f1_triangle, g1_column
 from .errors import IndexOutOfRange, UnsupportedOffset
 
@@ -27,14 +28,18 @@ MAX_LIFT_OFFSET = 80
 MAX_ST_ORDER = 30
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """Dense coefficients a_0..a_deg over exact rationals."""
+class RationalPolynomial(FrozenRecord):
+    """Dense coefficients a_0..a_deg over exact rationals (`Fraction`s)."""
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
 
     @staticmethod
     def of(*coefficients) -> "RationalPolynomial":
+        from fractions import Fraction
+
         coeffs = [Fraction(c) for c in coefficients]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
@@ -44,7 +49,10 @@ class RationalPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, k) -> Fraction:
+    def __call__(self, k):
+        """p(k), a `Fraction`."""
+        from fractions import Fraction
+
         x = Fraction(k)
         acc = Fraction(0)
         for c in reversed(self.coefficients):
@@ -52,15 +60,18 @@ class RationalPolynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class StOffsetFamily:
+class StOffsetFamily(FrozenRecord):
     """Polynomial giving St(k+r, k) for k >= 1, anchored at St(r, 0), also
     as its integer coefficients in the basis C(k, i)."""
 
-    r: int
-    polynomial: RationalPolynomial
-    k0_value: int
-    newton_coefficients: tuple[int, ...]
+    __slots__ = ("r", "polynomial", "k0_value", "newton_coefficients")
+
+    def __init__(self, r: int, polynomial: RationalPolynomial, k0_value: int,
+                 newton_coefficients: tuple[int, ...]) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "polynomial", polynomial)
+        object.__setattr__(self, "k0_value", k0_value)
+        object.__setattr__(self, "newton_coefficients", newton_coefficients)
 
 
 def st(n: int, k: int) -> int:
@@ -100,6 +111,8 @@ def _shifted(a) -> list[int]:
 def _monomial(a: list[int]) -> RationalPolynomial:
     """sum_i a_i C(k, i) multiplied out, C(k, i) = k(k-1)...(k-i+1) / i!,
     over the common denominator deg!."""
+    from fractions import Fraction
+
     denominator = factorial(len(a) - 1)
     numerators = [0] * len(a)
     falling = [1]  # monomial coefficients of k(k-1)...(k-i+1)

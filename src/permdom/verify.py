@@ -9,10 +9,10 @@ acceptance tests both read it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import constructions, counting, oracle, sequences
+from ._record import FrozenRecord, Record
 from .domination import (
     count_singleton_dominators,
     domination_number_exact,
@@ -32,18 +32,23 @@ from .perm import Permutation, reverse, strong_fixed_points
 MAX_N = oracle.CENSUS_CAP
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    range_note: str
-    passed: bool
-    first_mismatch: str | None = None
-    detail: str | None = None
+class CheckResult(FrozenRecord):
+    __slots__ = ("name", "range_note", "passed", "first_mismatch", "detail")
+
+    def __init__(self, name: str, range_note: str, passed: bool,
+                 first_mismatch: str | None = None, detail: str | None = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "range_note", range_note)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass
-class VerificationRun:
-    checks: list[CheckResult] = field(default_factory=list)
+class VerificationRun(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult] | None = None) -> None:
+        self.checks = [] if checks is None else checks
 
     @property
     def exit_code(self) -> int:

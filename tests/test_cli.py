@@ -473,12 +473,13 @@ def test_a_failed_extension_check_is_a_fail_line():
     # A solver off by one on odd orders: every step of an extension changes
     # gamma, so the extension's own check raises.
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "from permdom import cli, constructions\n"
+        "from permdom.domination import DominationResult\n"
         "exact = constructions.domination_number_exact\n"
         "def off_by_one(g):\n"
         "    r = exact(g)\n"
-        "    return dataclasses.replace(r, gamma=r.gamma + g.n % 2)\n"
+        "    return DominationResult(r.gamma + g.n % 2, r.witness, r.method, r.repaired)\n"
         "constructions.domination_number_exact = off_by_one\n"
         "sys.exit(cli.main(['verify', '--max-n', '3']))\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -12,10 +12,10 @@ from permdom.counting import (
     pair_count_nonadjacent,
     singleton_dom_count,
 )
-from permdom.domination import is_dominating, is_efficient_dominating
 from permdom.errors import IndexOutOfRange, MissingTableEntry, NotSorted
 from permdom.graph import build_graph
 from permdom.perm import Permutation
+from domination_reference import is_dominating, is_efficient_dominating
 
 
 def pair_count(n: int, u: int, v: int) -> int:

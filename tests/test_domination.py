@@ -14,8 +14,6 @@ from permdom.domination import (
     count_singleton_dominators,
     domination_number_exact,
     heuristic_dominating_set,
-    is_dominating,
-    is_efficient_dominating,
     maximal_cliques,
     quick_rule_position_ends,
     quick_rule_value_ends,
@@ -23,6 +21,7 @@ from permdom.domination import (
 )
 from permdom.graph import build_graph, is_connected, vertices_of
 from permdom.perm import Permutation, decreasing, identity, parse_permutation
+from domination_reference import is_dominating, is_efficient_dominating
 
 
 class NotDominating(Exception):

@@ -49,7 +49,7 @@ CASES = [
      "DominationResult(gamma=2, witness=frozenset({1, 3}), method='exact', "
      "repaired=False)", (2, frozenset({1, 3}), "exact", False), "gamma"),
     ("TallyReport",
-     lambda x: TallyReport(2, {1: 2}, {1: 2}, elapsed=x / 2),
+     lambda x: TallyReport(2, {1: 2}, {1: 2}, {}, {}, {}, elapsed=x / 2),
      "TallyReport(n=2, g={1: 2}, c={1: 2}, d={}, f1={}, st={}, elapsed=0.0)",
      None, None),
     ("HeuristicQuality",

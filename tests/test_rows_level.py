@@ -24,7 +24,6 @@ from permdom.domination import (
     DominationResult,
     domination_number_exact,
     heuristic_dominating_set,
-    is_dominating,
     maximal_cliques,
     quick_rule_position_ends,
     quick_rule_value_ends,
@@ -34,6 +33,7 @@ from permdom.graph import PermutationGraph, build_graph, degree_bound_check
 from permdom.oracle import HeuristicQuality, census
 from permdom.perm import Permutation, strong_fixed_points
 from clique_reference import ref_heuristic_dominating_set, ref_maximal_cliques, skew_pairs
+from domination_reference import is_dominating
 from walk import leaves
 
 
