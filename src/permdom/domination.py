@@ -201,41 +201,57 @@ def maximal_cliques(g: PermutationGraph) -> list[int]:
     edge i -> j when, in addition, no position between i and j holds a value
     between p(j) and p(i).  The maximal chains are exactly the paths from a
     source (no earlier larger value) to a sink (no later smaller value), so
-    walking every such path lists each maximal clique once, with no dead
-    ends.  The empty graph's one maximal clique is the empty set.
+    the cliques are the paths that end at a sink, each listed once.  The
+    empty graph's one maximal clique is the empty set.
     """
     return _maximal_cliques(g.source.image)
 
 
-def _maximal_cliques(image: Sequence[int]) -> list[int]:
-    """`maximal_cliques` of the graph of the one-line notation `image`."""
+def _maximal_cliques(image: Sequence[int], memo=None) -> list[int]:
+    """`maximal_cliques` of the graph of the one-line notation `image`, by
+    predecessor chains.
+
+    One pass left to right keeps ends[j], the cliques of the Hasse paths
+    from a source to position j.  The scan left from j keeps a floor, the
+    smallest value above p(j) seen so far: i is a Hasse predecessor of j
+    when p(j) < p(i) < floor, and no value fits below p(i) = p(j) + 1, so
+    the scan stops there.  ends[j] is every predecessor's paths with p(j)'s
+    bit added, or that bit alone at a source.  The sinks are the
+    right-to-left minima, and their ends are the maximal cliques.
+
+    ends[j] depends on image[:j + 1] only.  `memo`, a `(seen, ends)` pair
+    of lists kept by the caller, holds those of the last image listed with
+    it, and the pass resumes at the first position where `image` differs
+    from `seen`, so the census's sweep, whose consecutive leaves share all
+    but their last few values, recomputes only their tails.
+    """
+    seen, ends = memo if memo is not None else ([], [])
     n = len(image)
-    bits = [1 << (v - 1) for v in image]
-    below: list[list[int]] = []
-    for i, top in enumerate(image):
-        succ = []
-        ceiling = 0  # the largest value below `top` seen after position i
-        for j in range(i + 1, n):
-            v = image[j]
-            if ceiling < v < top:
-                succ.append(j)
-                ceiling = v
-                if v == top - 1:  # no value fits between any more
+    d = 0
+    same = min(n, len(seen))
+    while d < same and seen[d] == image[d]:
+        d += 1
+    del seen[d:], ends[d:]
+    for j in range(d, n):
+        v = image[j]
+        bit = 1 << (v - 1)
+        paths: list[int] = []
+        floor = n + 1
+        for i in range(j - 1, -1, -1):
+            u = image[i]
+            if v < u < floor:
+                paths += [c | bit for c in ends[i]]
+                if u == v + 1:
                     break
-        below.append(succ)
+                floor = u
+        seen.append(v)
+        ends.append(paths or [bit])
     out: list[int] = []
-    stack = []
-    highest = 0
-    for i, v in enumerate(image):  # the sources are the left-to-right maxima
-        if v > highest:
-            highest = v
-            stack.append((i, bits[i]))
-    while stack:
-        i, clique = stack.pop()
-        if below[i]:
-            stack.extend([(j, clique | bits[j]) for j in below[i]])
-        else:
-            out.append(clique)
+    low = n + 1
+    for j in range(n - 1, -1, -1):  # the sinks are the right-to-left minima
+        if image[j] < low:
+            low = image[j]
+            out += ends[j]
     return out or [0]
 
 

@@ -330,6 +330,7 @@ def _census_chunk(args) -> Census:
     full = (1 << n) - 1
     tally, singletons, pairs, efficient = Counter(), Counter(), Counter(), Counter()
     excluded = optimal = 0
+    memo = ([], [])  # the clique listing's state at the last leaf
 
     def visit(image, rows, connected, strong, singles, dom):
         nonlocal excluded, optimal
@@ -353,7 +354,7 @@ def _census_chunk(args) -> Census:
                 bit = hits & -hits
                 hits ^= bit
                 efficient[order[bit.bit_length() - 1]] += 1
-        chosen, _ = _heuristic_cover(_maximal_cliques(image), rows)
+        chosen, _ = _heuristic_cover(_maximal_cliques(image, memo), rows)
         cover = 0
         for v in chosen:
             cover |= rows[v - 1]
