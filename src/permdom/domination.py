@@ -207,7 +207,9 @@ def maximal_cliques(g: PermutationGraph) -> list[int]:
     return _maximal_cliques(g.source.image)
 
 
-def _maximal_cliques(image: Sequence[int], memo=None) -> list[int]:
+def _maximal_cliques(image: Sequence[int],
+                     memo: tuple[list[int], list[list[int]]] | None = None
+                     ) -> list[int]:
     """`maximal_cliques` of the graph of the one-line notation `image`, by
     predecessor chains.
 
@@ -225,7 +227,7 @@ def _maximal_cliques(image: Sequence[int], memo=None) -> list[int]:
     from `seen`, so the census's sweep, whose consecutive leaves share all
     but their last few values, recomputes only their tails.
     """
-    seen, ends = memo if memo is not None else ([], [])
+    seen, ends = memo or ([], [])
     n = len(image)
     d = 0
     same = min(n, len(seen))
@@ -260,7 +262,8 @@ def heuristic_dominating_set(g: PermutationGraph) -> DominationResult:
 
     Collect all maximum cliques, plus all maximal cliques through each value
     not covered by a maximum clique (the maximal cliques are listed as
-    source-to-sink paths of the decreasing-pair Hasse diagram); then
+    source-to-sink paths of the decreasing-pair Hasse diagram, by
+    predecessor chains); then
     repeatedly take the most frequent vertex across the collected cliques
     (ties to the smallest vertex) and drop every clique containing it.  The
     result is verified and greedily repaired if it fails to dominate.

@@ -25,7 +25,9 @@ is its differential oracle.
 The readers are visitors: `_tally_chunk` for `oracle tally`, which pays
 for nothing else; `_census_chunk`, one pass that gathers every fact
 `verify` reads, running the hand heuristic and the quick rules on the
-sweep's image and rows with no `Permutation` or graph object per leaf; and
+sweep's image and rows with no `Permutation` or graph object per leaf, and
+carrying the clique listing's state from leaf to leaf, since consecutive
+leaves share all but their last few values; and
 the listings `connected_gamma_permutations` and `iter_permutations`.
 (`verify`'s invariant suite has its own, as it rebuilds each graph to
 check the sweep.)
@@ -320,8 +322,10 @@ def _census_chunk(args) -> Census:
     dominates efficiently when it meets every closed neighborhood once.  The
     heuristic runs on the sweep's image and rows, with no graph object, and
     its output is checked to dominate: the or of its chosen rows must be
-    full.  `optimal` counts where it has minimum size, among the
-    permutations no end-pattern quick rule matches."""
+    full.  The heuristic's clique listing keeps one memo for the chunk and
+    resumes at the first position where a leaf differs from the one before.
+    `optimal` counts where it has minimum size, among the permutations no
+    end-pattern quick rule matches."""
     n, lead = args
     _, card, order = _subset_tables(n)
     detail = n <= DETAIL_MAX_N

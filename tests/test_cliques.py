@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permdom.constructions import comb_sigma, comb_tau
 from permdom import oracle
+from permdom.constructions import comb_sigma, comb_tau
 from permdom.domination import _maximal_cliques, heuristic_dominating_set, maximal_cliques
 from permdom.graph import PermutationGraph, build_graph
 from permdom.perm import Permutation
@@ -53,7 +53,6 @@ def test_skew_pairs_and_combs(n):
 def test_the_empty_graph_has_one_empty_clique():
     g = build_graph(Permutation(()))
     assert maximal_cliques(g) == ref_maximal_cliques(g) == [0]
-
 
 
 def resumes_like_a_fresh_listing(image, memo) -> list[int]:
