@@ -40,7 +40,7 @@ from .graph import (
     is_connected,
     is_connected_search,
 )
-from .oracle import TallyReport, full_tally, heuristic_quality
+from .oracle import TallyReport, full_tally
 from .perm import (
     Permutation,
     parse_permutation,

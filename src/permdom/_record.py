@@ -1,16 +1,20 @@
 """Plain record classes: equality, hash and repr over a class's fields.
 
-A record class names its fields in `__slots__` and sets them in its own
-`__init__`, which takes them positionally in that order.  A slot whose name
-starts with `_` holds state derived from the fields: it is outside
-equality, hash, repr and pickling.  These are the semantics `@dataclass`
-generates, without importing `dataclasses` (and `inspect`) at start-up.
+A record class names its fields in `__slots__` and sets each of them once in
+its own `__init__`, through `object.__setattr__`, taking them positionally
+in that order; any later assignment raises AttributeError.  A slot whose
+name starts with `_` holds state derived from the fields: it is outside
+equality, hash, repr and pickling.  These are the semantics
+`@dataclass(frozen=True)` generates, without importing `dataclasses` (and
+`inspect`) at start-up.
 """
 
 
 class Record:
-    """A mutable record: equal to a record of its own class with equal
-    fields, unhashable, and pickled and copied through its `__init__`."""
+    """A frozen record: equal to a record of its own class with equal
+    fields, hashed over its fields (so a record with a dict or list field
+    raises TypeError when hashed), and pickled and copied through its
+    `__init__`."""
 
     __slots__ = ()
 
@@ -25,23 +29,15 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         return type(self), self._values()
-
-
-class FrozenRecord(Record):
-    """A record whose `__init__` sets each field once, through
-    `object.__setattr__`; any later assignment raises AttributeError.
-    Hashed over its fields."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import constructions, counting, oracle, sequences, verify
@@ -328,9 +329,11 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     cap = oracle.HARD_CAP if args.allow_big else oracle.DEFAULT_CAP
+    started = time.perf_counter()
     report = oracle.full_tally(args.n, jobs=args.jobs, cap=cap)
+    elapsed = time.perf_counter() - started
     _emit(_tally_payload(report), args.out)
-    print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
+    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return 0
 
 

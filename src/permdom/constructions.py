@@ -2,7 +2,7 @@
 connected witness for every feasible domination number."""
 from __future__ import annotations
 
-from ._record import FrozenRecord
+from ._record import Record
 from .domination import domination_number_exact
 from .errors import (
     DisconnectedInput,
@@ -15,7 +15,7 @@ from .graph import PermutationGraph, build_graph, is_connected
 from .perm import MAX_GRAPH_ORDER, Permutation, decreasing
 
 
-class CombWitness(FrozenRecord):
+class CombWitness(Record):
     """Partition of a comb: a path (spine), an independent set (teeth), and
     the perfect matching between them (spine vertex -> its leaf)."""
 

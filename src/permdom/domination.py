@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ._record import FrozenRecord
+from ._record import Record
 from .graph import PermutationGraph
 from .perm import Permutation
 
@@ -32,7 +32,7 @@ QUICK_RULE_ENDS = "quick_rule_ends"
 HEURISTIC = "heuristic"
 
 
-class DominationResult(FrozenRecord):
+class DominationResult(Record):
     __slots__ = ("gamma", "witness", "method", "repaired")
 
     def __init__(self, gamma: int, witness: frozenset[int], method: str,

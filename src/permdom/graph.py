@@ -8,7 +8,7 @@ are open items in ROADMAP.md.
 """
 from __future__ import annotations
 
-from ._record import FrozenRecord
+from ._record import Record
 from .errors import OrderTooLarge, VertexOutOfRange
 from .perm import MAX_GRAPH_ORDER, Permutation
 
@@ -33,7 +33,7 @@ def vertices_of(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-class PermutationGraph(FrozenRecord):
+class PermutationGraph(Record):
     # rows[v-1] = open neighborhood of v as a bitmask
     __slots__ = ("n", "rows", "source")
 

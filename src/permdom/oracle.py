@@ -40,16 +40,16 @@ count produces the identical result.
 from __future__ import annotations
 
 import os
-import time
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import permutations
 from operator import add
 
-from ._record import FrozenRecord, Record
+from ._record import Record
 from .domination import (
     _heuristic_cover,
     _maximal_cliques,
+    _memberships,
     _position_ends,
     _value_ends,
 )
@@ -75,18 +75,16 @@ class TallyReport(Record):
     over the connected (`c`) and the disconnected (`d`) graphs, of singleton
     dominators (`f1`) and of strong fixed points (`st`)."""
 
-    __slots__ = ("n", "g", "c", "d", "f1", "st", "elapsed")
+    __slots__ = ("n", "g", "c", "d", "f1", "st")
 
     def __init__(self, n: int, g: dict[int, int], c: dict[int, int],
-                 d: dict[int, int], f1: dict[int, int], st: dict[int, int],
-                 elapsed: float = 0.0) -> None:
-        self.n = n
-        self.g = g
-        self.c = c
-        self.d = d
-        self.f1 = f1
-        self.st = st
-        self.elapsed = elapsed
+                 d: dict[int, int], f1: dict[int, int], st: dict[int, int]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "f1", f1)
+        object.__setattr__(self, "st", st)
 
     @classmethod
     def from_counts(cls, n: int, counts: Counter) -> TallyReport:
@@ -105,7 +103,7 @@ def _add_fields(a, b):
     return type(a)(*(getattr(a, name) + getattr(b, name) for name in a._fields))
 
 
-class HeuristicQuality(FrozenRecord):
+class HeuristicQuality(Record):
     __slots__ = ("total", "excluded", "optimal")
 
     def __init__(self, total: int, excluded: int, optimal: int) -> None:
@@ -135,11 +133,11 @@ class Census(Record):
 
     def __init__(self, tally: Counter, singletons: Counter, pairs: Counter,
                  efficient: Counter, heuristic: HeuristicQuality) -> None:
-        self.tally = tally
-        self.singletons = singletons
-        self.pairs = pairs
-        self.efficient = efficient
-        self.heuristic = heuristic
+        object.__setattr__(self, "tally", tally)
+        object.__setattr__(self, "singletons", singletons)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "efficient", efficient)
+        object.__setattr__(self, "heuristic", heuristic)
 
     __add__ = _add_fields
 
@@ -160,19 +158,16 @@ def _subset_tables(n: int) -> tuple[tuple[int, ...], ...]:
 
     With `low` the lowest member of S, meet[S] = meet[S ^ low] |
     contains[low], contains[i] being the mask of the subsets that hold
-    element i.  The subsets are written as text, one row of n binary digits
-    each, highest bit first, and each element's column is read back as one
-    int; O(2^n) big-int operations in all.  Built on first use, never at
-    import.
+    element i: the subsets' memberships, read as `_memberships` reads the
+    cliques', one text column per element; O(2^n) big-int operations in
+    all.  Built on first use, never at import.
 
     >>> _subset_tables(2)
     ((0, 3, 5, 7), (2, 1, 1, 0), (3, 1, 2, 0))
     """
     order = sorted(range(1 << n), key=int.bit_count, reverse=True)  # stable
     card = [s.bit_count() for s in order]
-    top = 1 << n  # bin(s | top) is "0b1" and then s in exactly n digits
-    text = "".join([bin(s | top) for s in reversed(order)])
-    contains = [int(text[n + 2 - i::n + 3], 2) for i in range(n)]
+    contains = _memberships(order, n)
     meet = [0] * (1 << n)
     for s in range(1, 1 << n):
         low = s & -s
@@ -406,10 +401,7 @@ def full_tally(n: int, jobs: int = 1, cap: int = DEFAULT_CAP) -> TallyReport:
     """Tally gamma, connectivity, singleton dominators, and strong fixed
     points over all of S_n."""
     _check_cap(n, min(cap, HARD_CAP))
-    started = time.perf_counter()
-    report = TallyReport.from_counts(n, _merged(_tally_chunk, n, jobs))
-    report.elapsed = time.perf_counter() - started
-    return report
+    return TallyReport.from_counts(n, _merged(_tally_chunk, n, jobs))
 
 
 def census(n: int, jobs: int = 1) -> Census:

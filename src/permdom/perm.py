@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import re
 
-from ._record import FrozenRecord
+from ._record import Record
 from .errors import EmptyInput, NotABijection, ParseError
 
 MAX_GRAPH_ORDER = 64
 
 
-class Permutation(FrozenRecord):
+class Permutation(Record):
     """A bijection on {1..n}, held as its one-line notation."""
 
     # _positions[v - 1] = p^-1(v), filled by the pass that checks the
@@ -54,10 +54,6 @@ class Permutation(FrozenRecord):
 
     def __repr__(self) -> str:
         return f"Permutation([{self}])"
-
-
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
 
 
 def decreasing(n: int) -> Permutation:

@@ -15,7 +15,7 @@ from math import factorial
 
 # `fractions` (which loads `decimal`) is imported inside the functions that
 # use it, so a cold start of the CLI does not pay for it.
-from ._record import FrozenRecord
+from ._record import Record
 from .counting import f0_column, f1, f1_triangle, g1_column
 from .errors import IndexOutOfRange, UnsupportedOffset
 
@@ -28,7 +28,7 @@ MAX_LIFT_OFFSET = 80
 MAX_ST_ORDER = 30
 
 
-class RationalPolynomial(FrozenRecord):
+class RationalPolynomial(Record):
     """Dense coefficients a_0..a_deg over exact rationals (`Fraction`s)."""
 
     __slots__ = ("coefficients",)
@@ -60,7 +60,7 @@ class RationalPolynomial(FrozenRecord):
         return acc
 
 
-class StOffsetFamily(FrozenRecord):
+class StOffsetFamily(Record):
     """Polynomial giving St(k+r, k) for k >= 1, anchored at St(r, 0), also
     as its integer coefficients in the basis C(k, i)."""
 

@@ -12,7 +12,7 @@ import random
 from itertools import combinations
 
 from . import constructions, counting, oracle, sequences
-from ._record import FrozenRecord, Record
+from ._record import Record
 from .domination import (
     count_singleton_dominators,
     domination_number_exact,
@@ -32,7 +32,7 @@ from .perm import Permutation, reverse, strong_fixed_points
 MAX_N = oracle.CENSUS_CAP
 
 
-class CheckResult(FrozenRecord):
+class CheckResult(Record):
     __slots__ = ("name", "range_note", "passed", "first_mismatch", "detail")
 
     def __init__(self, name: str, range_note: str, passed: bool,
@@ -47,8 +47,8 @@ class CheckResult(FrozenRecord):
 class VerificationRun(Record):
     __slots__ = ("checks",)
 
-    def __init__(self, checks: list[CheckResult] | None = None) -> None:
-        self.checks = [] if checks is None else checks
+    def __init__(self, checks: list[CheckResult]) -> None:
+        object.__setattr__(self, "checks", checks)
 
     @property
     def exit_code(self) -> int:
@@ -345,18 +345,19 @@ def run_all(max_n: int = MAX_N, jobs: int = 1) -> VerificationRun:
     for n <= max_n <= MAX_N."""
     cache = TallyCache(jobs=jobs)
     detail_n = min(max_n, oracle.DETAIL_MAX_N)
-    run = VerificationRun()
-    run.checks.append(check_recursions_vs_oracle(cache, max_n))
-    run.checks.append(check_strong_fixed_point_identity(cache, max_n))
-    run.checks.append(check_closed_forms())
-    run.checks.append(check_polynomial_lifting())
-    run.checks.append(check_pair_counts(cache, detail_n))
-    run.checks.append(check_efficient_counts(cache, detail_n))
-    run.checks.append(check_singleton_formula(cache, max_n))
-    run.checks.append(check_disconnected_formula(cache, max_n))
-    run.checks.append(check_combs(max_n))
-    run.checks.append(check_extension())
-    run.checks.append(check_connected_with_gamma())
-    run.checks.append(check_heuristic(cache, max_n))
-    run.checks.append(check_invariant_suite(detail_n))
-    return run
+    checks = [
+        check_recursions_vs_oracle(cache, max_n),
+        check_strong_fixed_point_identity(cache, max_n),
+        check_closed_forms(),
+        check_polynomial_lifting(),
+        check_pair_counts(cache, detail_n),
+        check_efficient_counts(cache, detail_n),
+        check_singleton_formula(cache, max_n),
+        check_disconnected_formula(cache, max_n),
+        check_combs(max_n),
+        check_extension(),
+        check_connected_with_gamma(),
+        check_heuristic(cache, max_n),
+        check_invariant_suite(detail_n),
+    ]
+    return VerificationRun(checks)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -402,6 +403,18 @@ def test_tally_output_is_identical_across_jobs(capsys, monkeypatch):
     for argv, jobs in cases:
         outputs = {run(capsys, *argv, "--jobs", j)[1] for j in jobs}
         assert len(outputs) == 1 and outputs != {""}
+
+
+@pytest.mark.parametrize("extra", [("--jobs", "1"), ("--jobs", "2"), ("--out", "tally.json")],
+                         ids=["jobs1", "jobs2", "out"])
+def test_tally_times_itself_in_one_stderr_line(capsys, monkeypatch, tmp_path, extra):
+    from permdom import oracle
+
+    monkeypatch.setattr(oracle, "POOL_MIN_ORDER", 1)  # --jobs 2 opens a pool
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "oracle", "tally", "--n", "4", *extra)
+    assert code == 0
+    assert re.fullmatch(r"elapsed: [0-9]+\.[0-9]{3}s\n", err), err
 
 
 def _child_env() -> dict:

@@ -20,8 +20,13 @@ from permdom.domination import (
     singleton_dominators_by_position,
 )
 from permdom.graph import build_graph, is_connected, vertices_of
-from permdom.perm import Permutation, decreasing, identity, parse_permutation
+from permdom.perm import Permutation, decreasing, parse_permutation
 from domination_reference import is_dominating, is_efficient_dominating
+
+
+def identity(n: int) -> Permutation:
+    """[1, 2, ..., n]: no pair inverted."""
+    return Permutation(tuple(range(1, n + 1)))
 
 
 class NotDominating(Exception):

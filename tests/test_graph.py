@@ -14,7 +14,12 @@ from permdom.graph import (
     mask_of,
     vertices_of,
 )
-from permdom.perm import Permutation, decreasing, identity, parse_permutation
+from permdom.perm import Permutation, decreasing, parse_permutation
+
+
+def identity(n: int) -> Permutation:
+    """[1, 2, ..., n]: no pair inverted."""
+    return Permutation(tuple(range(1, n + 1)))
 
 
 def closed_neighborhood(g, v: int) -> frozenset[int]:

@@ -77,10 +77,7 @@ def test_tally_is_deterministic_across_worker_counts(monkeypatch):
     from permdom import oracle
 
     monkeypatch.setattr(oracle, "POOL_MIN_ORDER", 1)  # a real pool at n = 5
-    single = full_tally(5, jobs=1)
-    split = full_tally(5, jobs=3)
-    assert (single.g, single.c, single.d, single.f1, single.st) == (
-        split.g, split.c, split.d, split.f1, split.st)
+    assert full_tally(5, jobs=1) == full_tally(5, jobs=3)
 
 
 def test_order_cap():
@@ -337,10 +334,7 @@ def test_tally_is_identical_for_every_chunking(monkeypatch):
     monkeypatch.setattr(oracle, "POOL_MIN_ORDER", 1)
     reports = [full_tally(6, jobs=j) for j in (1, 2, 3, 7)]
     assert workers == [2, 3, 7]
-    first = reports[0]
-    for r in reports[1:]:
-        assert (r.g, r.c, r.d, r.f1, r.st) == (
-            first.g, first.c, first.d, first.f1, first.st)
+    assert all(r == reports[0] for r in reports[1:])
 
 
 def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
@@ -355,7 +349,7 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
     monkeypatch.setattr(oracle, "POOL_MIN_ORDER", 1)
     big = full_tally(4, jobs=10**6)
     assert workers == [2]
-    assert big.g == full_tally(4, jobs=0).g == full_tally(4).g
+    assert big == full_tally(4, jobs=0) == full_tally(4)
     assert workers == [2]  # jobs <= 1 runs in this process
 
 
