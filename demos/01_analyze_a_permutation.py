@@ -47,8 +47,7 @@ print(f"private neighbors: {dict(sorted(private_of.items()))}")
 print(f"shared neighbors: {shared}")
 
 h = heuristic_dominating_set(g)
-print(f"\nclique heuristic found a set of size {h.gamma}: "
-      f"{sorted(h.witness)} (repaired: {h.repaired})")
+print(f"\nclique heuristic found a set of size {h.gamma}: {sorted(h.witness)}")
 
 q = parse_permutation("2,1,3,5,4,7,6")
 print(f"\na disconnected example, {q}:")

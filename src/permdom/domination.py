@@ -33,6 +33,9 @@ HEURISTIC = "heuristic"
 
 
 class DominationResult(Record):
+    """A dominating set and its size.  The hand heuristic's set always
+    dominates with no repair, so it leaves `repaired` False."""
+
     __slots__ = ("gamma", "witness", "method", "repaired")
 
     def __init__(self, gamma: int, witness: frozenset[int], method: str,
@@ -265,34 +268,35 @@ def heuristic_dominating_set(g: PermutationGraph) -> DominationResult:
     source-to-sink paths of the decreasing-pair Hasse diagram, by
     predecessor chains); then
     repeatedly take the most frequent vertex across the collected cliques
-    (ties to the smallest vertex) and drop every clique containing it.  The
-    result is verified and greedily repaired if it fails to dominate.
+    (ties to the smallest vertex) and drop every clique containing it.
+
+    The result always dominates, with no repair, so `repaired` stays False:
+    every vertex lies in a maximal clique, hence in a collected one (a
+    maximum clique, or a maximal clique through a vertex no maximum clique
+    covers); the greedy stops only when every collected clique holds a pick;
+    and a clique's vertices are pairwise adjacent.  The cliques are read off
+    the source permutation, so this holds for every graph whose rows match
+    it, which is every graph `build_graph` makes.
     """
-    chosen, repaired = _heuristic_cover(maximal_cliques(g), g.closed_rows())
+    chosen = _heuristic_cover(maximal_cliques(g), g.n)
     return DominationResult(
         gamma=len(chosen),
         witness=frozenset(chosen),
         method=HEURISTIC,
-        repaired=repaired,
     )
 
 
-def _heuristic_cover(cliques: list[int],
-                     rows: Sequence[int]) -> tuple[list[int], bool]:
-    """`heuristic_dominating_set` on a graph's maximal cliques and closed
-    rows (rows[v-1] = N[v] as a bitmask): the chosen vertices in the order
-    chosen, and whether the greedy repair had to add any.  The oracle's
-    census calls it on the rows of its sweep, with no graph object."""
-    n = len(rows)
-    full = (1 << n) - 1
+def _heuristic_cover(cliques: list[int], n: int) -> list[int]:
+    """`heuristic_dominating_set` on the maximal cliques of a graph on n
+    vertices: the chosen vertices in the order chosen.  The oracle's census
+    calls it on the cliques of its sweep's image, with no graph object."""
     best = max((c.bit_count() for c in cliques), default=0)
     covered = 0
     for c in cliques:
         if c.bit_count() == best:
             covered |= c
-    uncovered = full ^ covered
     # The empty graph's one clique is empty: there is nothing to choose.
-    collected = ([c for c in cliques if c & uncovered or c.bit_count() == best]
+    collected = ([c for c in cliques if c & ~covered or c.bit_count() == best]
                  if best else [])
 
     holds = _memberships(collected, n)
@@ -303,17 +307,7 @@ def _heuristic_cover(cliques: list[int],
         v = freq.index(max(freq))  # ties break to the smallest vertex
         chosen.append(v + 1)
         alive &= ~holds[v]
-
-    cover = 0
-    for v in chosen:
-        cover |= rows[v - 1]
-    repaired = cover != full
-    while cover != full:
-        gains = [(row & ~cover).bit_count() for row in rows]
-        v = gains.index(max(gains)) + 1
-        chosen.append(v)
-        cover |= rows[v - 1]
-    return chosen, repaired
+    return chosen
 
 
 def _memberships(cliques: list[int], n: int) -> list[int]:

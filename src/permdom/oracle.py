@@ -25,7 +25,7 @@ is its differential oracle.
 The readers are visitors: `_tally_chunk` for `oracle tally`, which pays
 for nothing else; `_census_chunk`, one pass that gathers every fact
 `verify` reads, running the hand heuristic and the quick rules on the
-sweep's image and rows with no `Permutation` or graph object per leaf, and
+sweep's image with no `Permutation` or graph object per leaf, and
 carrying the clique listing's state from leaf to leaf, since consecutive
 leaves share all but their last few values; and
 the listings `connected_gamma_permutations` and `iter_permutations`.
@@ -315,10 +315,10 @@ def _tally_chunk(args) -> Counter:
 def _census_chunk(args) -> Census:
     """The census of the permutations of [n] that begin with `lead`.  A set
     dominates efficiently when it meets every closed neighborhood once.  The
-    heuristic runs on the sweep's image and rows, with no graph object, and
-    its output is checked to dominate: the or of its chosen rows must be
-    full.  The heuristic's clique listing keeps one memo for the chunk and
-    resumes at the first position where a leaf differs from the one before.
+    heuristic runs on the sweep's image, with no graph object, and its
+    output is checked to dominate: the or of its chosen rows must be full.
+    The heuristic's clique listing keeps one memo for the chunk and resumes
+    at the first position where a leaf differs from the one before.
     `optimal` counts where it has minimum size, among the permutations no
     end-pattern quick rule matches."""
     n, lead = args
@@ -353,7 +353,7 @@ def _census_chunk(args) -> Census:
                 bit = hits & -hits
                 hits ^= bit
                 efficient[order[bit.bit_length() - 1]] += 1
-        chosen, _ = _heuristic_cover(_maximal_cliques(image, memo), rows)
+        chosen = _heuristic_cover(_maximal_cliques(image, memo), n)
         cover = 0
         for v in chosen:
             cover |= rows[v - 1]

@@ -136,9 +136,11 @@ def _lift(r: int, shifted: dict[int, list[int]], st0: list[int]) -> StOffsetFami
       since C(k+1, i) = C(k, i) + C(k, i-1);
     - right-hand side: R(k) = sum_s St(r-s, 0) p_s(k-1) = sum_i c_i C(k, i)
       over s = 0 and s = 2..r-1, with p_0 = 1 (offset 1 is 0), a sum of
-      integer vectors.  It is never zero: every term is a count, and
-      R(1) >= St(r, 0) > 0, as the decreasing permutation of order r has
-      no strong fixed point;
+      integer vectors.  Its top coefficient is positive, by induction from
+      r = 2, where R = St(2, 0) = 1: each family's top Newton coefficient
+      equals the top coefficient of its right-hand side (and a shift keeps
+      it), and every weight St(r-s, 0) that enters is a positive count, so
+      the top coefficients of the longest terms add up and never cancel;
     - telescoping sum: p_r(k) - p_r(k-1) = R(k) with p_r(0) = St(r, 0)
       gives a_0 = St(r, 0) and a_i = c_{i-1} + c_i for i >= 1, by the
       hockey stick sum_{j=0}^{k} C(j, i) = C(k+1, i+1).
@@ -152,8 +154,6 @@ def _lift(r: int, shifted: dict[int, list[int]], st0: list[int]) -> StOffsetFami
         rhs += [0] * (len(term) - len(rhs))
         for i, c in enumerate(term):
             rhs[i] += weight * c
-    while rhs[-1] == 0:
-        rhs.pop()
 
     a = [st0[r]] + [lo + hi for lo, hi in zip(rhs, rhs[1:] + [0])]
     return StOffsetFamily(r=r, polynomial=_monomial(a), k0_value=st0[r],

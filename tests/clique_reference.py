@@ -6,6 +6,10 @@ and collects cliques by list scans: `maximal_cliques` and
 `heuristic_dominating_set` as they were before the cliques were listed as
 paths of the decreasing-pair Hasse diagram.  They share no code with
 `permdom.domination`, so the tests compare the fast forms with them.
+
+The reference heuristic keeps a greedy repair, which the fast form has no
+need of: an input that needed one would make the two differ, so the
+comparison would catch a fast-form set that fails to dominate.
 """
 from permdom.domination import HEURISTIC, DominationResult
 from permdom.graph import PermutationGraph

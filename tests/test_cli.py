@@ -523,7 +523,7 @@ def test_optimised_interpreter_prints_the_same_verify_bytes():
 @pytest.mark.parametrize("script, message", [
     pytest.param(
         "from permdom import oracle\n"
-        "oracle._heuristic_cover = lambda cliques, rows: ([1], False)\n"
+        "oracle._heuristic_cover = lambda cliques, n: [1]\n"
         "oracle.census(4)\n",
         "the heuristic's set does not dominate", id="census-heuristic"),
     pytest.param(

@@ -273,8 +273,19 @@ def test_heuristic_always_dominates_and_bounds_gamma(n):
     for image in perms(range(1, n + 1)):
         g = build_graph(Permutation(image))
         r = heuristic_dominating_set(g)
-        assert is_dominating(g, r.witness)
+        assert is_dominating(g, r.witness) and r.repaired is False
         assert r.gamma >= domination_number_exact(g).gamma
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(29, 64).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))))
+def test_heuristic_dominates_beyond_the_clique_reference(image):
+    # The Bron-Kerbosch comparison stops at order 28; the heuristic's own
+    # guarantee does not.  No exact search: gamma is out of reach here.
+    g = build_graph(Permutation(tuple(image)))
+    r = heuristic_dominating_set(g)
+    assert is_dominating(g, r.witness) and r.repaired is False
 
 
 @settings(max_examples=100, deadline=None)

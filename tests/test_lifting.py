@@ -174,6 +174,8 @@ def test_the_right_hand_side_is_positive_at_one_for_every_offset():
         # p_r(1) - p_r(0) = R(1), and in Newton coefficients a_1 = R(1).
         assert rows[r + 1][1] - rows[r][0] == r1
         assert lifted[r].newton_coefficients[1] == r1
+        # The top coefficient is positive too, so R(k) needs no trimming.
+        assert lifted[r].newton_coefficients[-1] > 0
 
 
 @pytest.mark.parametrize("r", [-1, 0, 1])

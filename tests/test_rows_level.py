@@ -184,9 +184,8 @@ def test_census_fails_when_the_heuristic_leaves_a_vertex_undominated(monkeypatch
     # vertex is its own clique and must be chosen, so the check has to fire.
     real = domination._heuristic_cover
 
-    def drop_one(cliques, rows):
-        chosen, repaired = real(cliques, rows)
-        return chosen[:-1], repaired
+    def drop_one(cliques, n):
+        return real(cliques, n)[:-1]
 
     monkeypatch.setattr(oracle, "_heuristic_cover", drop_one)
     with pytest.raises(AssertionError, match=r"does not dominate \[1,2,3,4,5\]"):
