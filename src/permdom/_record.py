@@ -1,12 +1,13 @@
 """Plain record classes: equality, hash and repr over a class's fields.
 
-A record class names its fields in `__slots__` and sets each of them once in
-its own `__init__`, through `object.__setattr__`, taking them positionally
-in that order; any later assignment raises AttributeError.  A slot whose
-name starts with `_` holds state derived from the fields: it is outside
-equality, hash, repr and pickling.  These are the semantics
-`@dataclass(frozen=True)` generates, without importing `dataclasses` (and
-`inspect`) at start-up.
+A record class declares its fields once, in `__slots__`.  Unless it defines
+its own `__init__`, it gets one that takes them by position, in that order,
+or by name, and sets each once through `object.__setattr__`; a class-level
+`_defaults` dict gives trailing fields their defaults.  Any later
+assignment raises AttributeError.  A slot whose name starts with `_` holds
+state derived from the fields: it is outside the `__init__`, equality,
+hash, repr and pickling.  These are the semantics `@dataclass(frozen=True)`
+generates, without importing `dataclasses` (and `inspect`) at start-up.
 """
 
 
@@ -17,9 +18,22 @@ class Record:
     `__init__`."""
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._fields = fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        if "__init__" in vars(cls):
+            return
+        # Compiled from source, as `dataclasses` does it: a call costs what a
+        # hand-written one does, and a wrong call raises Python's own TypeError.
+        params = "".join(f", {name}=_defaults[{name!r}]" if name in cls._defaults
+                         else f", {name}" for name in fields)
+        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+        namespace = {"__name__": cls.__module__, "_set": object.__setattr__,
+                     "_defaults": cls._defaults}
+        exec(f"def __init__(self{params}) -> None:{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

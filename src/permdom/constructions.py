@@ -21,12 +21,6 @@ class CombWitness(Record):
 
     __slots__ = ("spine", "teeth", "matching")
 
-    def __init__(self, spine: frozenset[int], teeth: frozenset[int],
-                 matching: dict[int, int]) -> None:
-        object.__setattr__(self, "spine", spine)
-        object.__setattr__(self, "teeth", teeth)
-        object.__setattr__(self, "matching", matching)
-
 
 def _piecewise(n: int, special: dict[int, int], residue_rules) -> Permutation:
     image = []

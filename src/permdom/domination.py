@@ -37,13 +37,7 @@ class DominationResult(Record):
     dominates with no repair, so it leaves `repaired` False."""
 
     __slots__ = ("gamma", "witness", "method", "repaired")
-
-    def __init__(self, gamma: int, witness: frozenset[int], method: str,
-                 repaired: bool = False) -> None:
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "repaired", repaired)
+    _defaults = {"repaired": False}
 
 
 def domination_number_exact(g: PermutationGraph) -> DominationResult:

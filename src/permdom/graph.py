@@ -37,11 +37,6 @@ class PermutationGraph(Record):
     # rows[v-1] = open neighborhood of v as a bitmask
     __slots__ = ("n", "rows", "source")
 
-    def __init__(self, n: int, rows: tuple[int, ...], source: Permutation) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "source", source)
-
     def neighbors(self, v: int) -> frozenset[int]:
         self._check(v)
         return vertices_of(self.rows[v - 1])

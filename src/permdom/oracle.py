@@ -77,15 +77,6 @@ class TallyReport(Record):
 
     __slots__ = ("n", "g", "c", "d", "f1", "st")
 
-    def __init__(self, n: int, g: dict[int, int], c: dict[int, int],
-                 d: dict[int, int], f1: dict[int, int], st: dict[int, int]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "st", st)
-
     @classmethod
     def from_counts(cls, n: int, counts: Counter) -> TallyReport:
         """The histograms of a `_tally_chunk` counter over all of S_n."""
@@ -106,11 +97,6 @@ def _add_fields(a, b):
 class HeuristicQuality(Record):
     __slots__ = ("total", "excluded", "optimal")
 
-    def __init__(self, total: int, excluded: int, optimal: int) -> None:
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "excluded", excluded)
-        object.__setattr__(self, "optimal", optimal)
-
     __add__ = _add_fields
 
     @property
@@ -130,14 +116,6 @@ class Census(Record):
     """
 
     __slots__ = ("tally", "singletons", "pairs", "efficient", "heuristic")
-
-    def __init__(self, tally: Counter, singletons: Counter, pairs: Counter,
-                 efficient: Counter, heuristic: HeuristicQuality) -> None:
-        object.__setattr__(self, "tally", tally)
-        object.__setattr__(self, "singletons", singletons)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "efficient", efficient)
-        object.__setattr__(self, "heuristic", heuristic)
 
     __add__ = _add_fields
 

@@ -33,9 +33,6 @@ class RationalPolynomial(Record):
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: tuple) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-
     @staticmethod
     def of(*coefficients) -> "RationalPolynomial":
         from fractions import Fraction
@@ -65,13 +62,6 @@ class StOffsetFamily(Record):
     as its integer coefficients in the basis C(k, i)."""
 
     __slots__ = ("r", "polynomial", "k0_value", "newton_coefficients")
-
-    def __init__(self, r: int, polynomial: RationalPolynomial, k0_value: int,
-                 newton_coefficients: tuple[int, ...]) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "polynomial", polynomial)
-        object.__setattr__(self, "k0_value", k0_value)
-        object.__setattr__(self, "newton_coefficients", newton_coefficients)
 
 
 def st(n: int, k: int) -> int:

@@ -34,21 +34,11 @@ MAX_N = oracle.CENSUS_CAP
 
 class CheckResult(Record):
     __slots__ = ("name", "range_note", "passed", "first_mismatch", "detail")
-
-    def __init__(self, name: str, range_note: str, passed: bool,
-                 first_mismatch: str | None = None, detail: str | None = None) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "range_note", range_note)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "first_mismatch", first_mismatch)
-        object.__setattr__(self, "detail", detail)
+    _defaults = {"first_mismatch": None, "detail": None}
 
 
 class VerificationRun(Record):
     __slots__ = ("checks",)
-
-    def __init__(self, checks: list[CheckResult]) -> None:
-        object.__setattr__(self, "checks", checks)
 
     @property
     def exit_code(self) -> int:
@@ -56,18 +46,30 @@ class VerificationRun(Record):
 
 
 class TallyCache(dict):
-    """Oracle censuses by order, each swept on first use and shared across
-    checks."""
+    """Oracle censuses by order, each swept once and shared across checks.
+    A census that raised, as its own check of the heuristic's sets does, is
+    kept as its AssertionError."""
 
     def __init__(self, jobs: int = 1):
         super().__init__()
         self.jobs = jobs
 
-    def __missing__(self, n: int) -> oracle.Census:
-        self[n] = oracle.census(n, jobs=self.jobs)
-        return self[n]
+    def censuses(self, first: int, last: int, bad: list[str]):
+        """(n, census) for n = first..last, up to the first census that
+        raised: its message goes on `bad`, so the check is a FAIL line."""
+        for n in range(first, last + 1):
+            if n not in self:
+                try:
+                    self[n] = oracle.census(n, jobs=self.jobs)
+                except AssertionError as exc:
+                    self[n] = exc
+            if isinstance(self[n], AssertionError):
+                bad.append(str(self[n]))
+                return
+            yield n, self[n]
 
     def tally(self, n: int) -> oracle.TallyReport:
+        """The tally of a census that `censuses` has yielded."""
         return oracle.TallyReport.from_counts(n, self[n].tally)
 
 
@@ -86,7 +88,7 @@ def check_recursions_vs_oracle(cache: TallyCache, max_n: int) -> CheckResult:
     bad = []
     f1_rows = counting.f1_triangle(max_n)
     g1 = counting.g1_column(max_n)
-    for n in range(1, max_n + 1):
+    for n, _ in cache.censuses(1, max_n, bad):
         report = cache.tally(n)
         got = sum(v for k, v in report.g.items() if k == 1)
         if g1[n] != got:
@@ -103,7 +105,7 @@ def check_recursions_vs_oracle(cache: TallyCache, max_n: int) -> CheckResult:
 def check_strong_fixed_point_identity(cache: TallyCache, max_n: int) -> CheckResult:
     """st(n, k) = f1(n, k) = oracle strong-fixed-point tally."""
     bad = []
-    for n in range(1, max_n + 1):
+    for n, _ in cache.censuses(1, max_n, bad):
         report = cache.tally(n)
         for k in range(n + 1):
             want = report.st.get(k, 0)
@@ -157,8 +159,8 @@ def check_pair_counts(cache: TallyCache, max_n: int) -> CheckResult:
     """Pair-domination formulas against the census's split by adjacency,
     for max_n <= oracle.DETAIL_MAX_N."""
     bad = []
-    for n in range(2, max_n + 1):
-        pairs = cache[n].pairs
+    for n, census in cache.censuses(2, max_n, bad):
+        pairs = census.pairs
         for u, v in combinations(range(1, n + 1), 2):
             if counting.pair_count_nonadjacent(n, u, v) != pairs[u, v, 0]:
                 bad.append(f"nonadjacent ({n},{u},{v})")
@@ -172,8 +174,8 @@ def check_efficient_counts(cache: TallyCache, max_n: int) -> CheckResult:
     2 <= |A| <= 5, for max_n <= oracle.DETAIL_MAX_N."""
     max_size = 5
     bad = []
-    for n in range(2, max_n + 1):
-        efficient = cache[n].efficient
+    for n, census in cache.censuses(2, max_n, bad):
+        efficient = census.efficient
         for size in range(2, min(max_size, n) + 1):
             for a in combinations(range(1, n + 1), size):
                 if counting.efficient_dom_count(n, a) != efficient[mask_of(a)]:
@@ -186,8 +188,8 @@ def check_efficient_counts(cache: TallyCache, max_n: int) -> CheckResult:
 def check_singleton_formula(cache: TallyCache, max_n: int) -> CheckResult:
     """(n-k)!(k-1)! against the per-k oracle tally."""
     bad = []
-    for n in range(1, max_n + 1):
-        singletons = cache[n].singletons
+    for n, census in cache.censuses(1, max_n, bad):
+        singletons = census.singletons
         for k in range(1, n + 1):
             if counting.singleton_dom_count(n, k) != singletons[k]:
                 bad.append(f"singleton ({n},{k})")
@@ -197,7 +199,7 @@ def check_singleton_formula(cache: TallyCache, max_n: int) -> CheckResult:
 def check_disconnected_formula(cache: TallyCache, max_n: int) -> CheckResult:
     """d(n, k) from connected counts, plus g = c + d pointwise."""
     bad = []
-    for n in range(1, max_n + 1):
+    for n, _ in cache.censuses(1, max_n, bad):
         report = cache.tally(n)
         ctab = oracle.c_table(n - 1, cache.tally)
         for k in sorted(set(report.g) | set(report.d)):
@@ -288,8 +290,8 @@ def check_heuristic(cache: TallyCache, max_n: int) -> CheckResult:
     soft_rate = 0.90
     bad = []
     rates = []
-    for n in range(1, max_n + 1):
-        q = cache[n].heuristic  # the census checks domination
+    for n, census in cache.censuses(1, max_n, bad):
+        q = census.heuristic  # the census checks domination
         rates.append(f"n={n}: {q.optimal}/{q.total - q.excluded}")
         if q.rate < soft_rate:
             bad.append(f"rate {q.rate:.3f} below soft gate at n={n}")

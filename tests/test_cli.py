@@ -507,6 +507,46 @@ def test_a_failed_extension_check_is_a_fail_line():
         "inserting ")
 
 
+# Each check that reads the census, and the first leaf of the first order
+# it reads: pairs and efficient sets start at n = 2.
+CENSUS_CHECKS = {"recursions_vs_oracle": "[1]", "strong_fixed_point_identity": "[1]",
+                 "pair_counts_vs_oracle": "[1,2]", "efficient_counts_vs_oracle": "[1,2]",
+                 "singleton_formula_vs_oracle": "[1]",
+                 "disconnected_formula_vs_oracle": "[1]", "heuristic_quality": "[1]"}
+
+
+def test_a_failed_census_check_is_a_fail_line():
+    # The heuristic without its last pick (drop_one in test_rows_level.py):
+    # at the identity, the first leaf of every order, the census's own check
+    # that the set dominates fires.
+    script = (
+        "import sys\n"
+        "from permdom import cli, domination, oracle\n"
+        "real = domination._heuristic_cover\n"
+        "def drop_one(cliques, n):\n"
+        "    return real(cliques, n)[:-1]\n"
+        "oracle._heuristic_cover = drop_one\n"
+        "census, swept = oracle.census, []\n"
+        "def counted(n, jobs=1):\n"
+        "    swept.append(n)\n"
+        "    return census(n, jobs)\n"
+        "oracle.census = counted\n"
+        "code = cli.main(['verify', '--max-n', '3'])\n"
+        "print('swept', *swept, file=sys.stderr)\n"
+        "sys.exit(code)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=_child_env(), timeout=120)
+    err = done.stderr.decode()
+    assert done.returncode == 3 and "Traceback" not in err
+    lines = err.splitlines()
+    assert lines[-1] == "swept 1 2"  # each census that raised, once
+    checks = {c["name"]: c for c in json.loads(done.stdout)["checks"]}
+    for name, leaf in CENSUS_CHECKS.items():
+        assert f"FAIL {name} ({checks[name]['range']})" in lines
+        assert checks[name]["first_mismatch"] == f"the heuristic's set does not dominate {leaf}"
+    assert {name for name, c in checks.items() if c["status"] == "fail"} == set(CENSUS_CHECKS)
+
+
 def test_optimised_interpreter_prints_the_same_verify_bytes():
     # Under -O every `assert` is gone; the checks that guard verify's
     # figures must not be.

@@ -155,3 +155,64 @@ def test_a_pooled_census_equals_the_in_process_one(monkeypatch, n):
 
 def test_lifted_families_are_records():
     assert sequences.lift_families(4)[4] == _family()
+
+
+# (class, its fields by name in parameter order, the defaults of the trailing
+# ones): every constructor's parameters, which callers pass by position or
+# by name.
+FIELDS = [
+    (Permutation, {"image": (3, 1, 2)}, {}),
+    (PermutationGraph, {"n": 3, "rows": (4, 4, 3), "source": Permutation((3, 1, 2))}, {}),
+    (DominationResult, {"gamma": 2, "witness": frozenset({1, 3}), "method": "exact",
+                        "repaired": True}, {"repaired": False}),
+    (TallyReport, {"n": 2, "g": {1: 2}, "c": {1: 2}, "d": {}, "f1": {}, "st": {}}, {}),
+    (HeuristicQuality, {"total": 6, "excluded": 2, "optimal": 4}, {}),
+    (Census, {"tally": Counter({(1, True, 1, 0): 2}), "singletons": Counter({1: 2}),
+              "pairs": Counter({(1, 2, 1): 2}), "efficient": Counter({3: 1}),
+              "heuristic": HeuristicQuality(6, 2, 4)}, {}),
+    (CheckResult, {"name": "pairs", "range_note": "n <= 3", "passed": False,
+                   "first_mismatch": "at n=2", "detail": "n=2: 1/1"},
+     {"first_mismatch": None, "detail": None}),
+    (VerificationRun, {"checks": [CheckResult("pairs", "n <= 3", True)]}, {}),
+    (CombWitness, {"spine": frozenset({1}), "teeth": frozenset({2}), "matching": {1: 2}}, {}),
+    (RationalPolynomial, {"coefficients": (Fraction(0), Fraction(1))}, {}),
+    (StOffsetFamily, {"r": 4, "polynomial": RationalPolynomial.of(14, 1), "k0_value": 14,
+                      "newton_coefficients": (14, 15, 1)}, {}),
+]
+FIELD_IDS = [cls.__name__ for cls, *_ in FIELDS]
+WITH_DEFAULTS = [case for case in FIELDS if case[2]]
+
+
+def test_every_record_class_has_its_fields_listed():
+    assert FIELD_IDS == IDS
+
+
+@pytest.mark.parametrize("cls, fields, defaults", FIELDS, ids=FIELD_IDS)
+def test_positional_and_keyword_calls_build_equal_records(cls, fields, defaults):
+    by_position, by_name = cls(*fields.values()), cls(**fields)
+    assert by_position == by_name and repr(by_position) == repr(by_name)
+    assert {name: getattr(by_name, name) for name in fields} == fields
+
+
+@pytest.mark.parametrize("cls, fields, defaults", WITH_DEFAULTS,
+                         ids=[case[0].__name__ for case in WITH_DEFAULTS])
+def test_an_omitted_default_takes_its_value(cls, fields, defaults):
+    required = {name: value for name, value in fields.items() if name not in defaults}
+    assert list(fields)[len(required):] == list(defaults)  # defaults trail
+    for record in (cls(*required.values()), cls(**required)):
+        assert {name: getattr(record, name) for name in fields} == {**fields, **defaults}
+
+
+@pytest.mark.parametrize("call", ["missing", "extra", "unknown", "twice"])
+@pytest.mark.parametrize("cls, fields, defaults", FIELDS, ids=FIELD_IDS)
+def test_a_wrong_call_raises_type_error(cls, fields, defaults, call):
+    values = list(fields.values())
+    required = len(fields) - len(defaults)
+    args, kwargs = {
+        "missing": (values[:required - 1], {}),
+        "extra": (values + [None], {}),
+        "unknown": ([], {**fields, "bogus": None}),
+        "twice": (values[:1], fields),
+    }[call]
+    with pytest.raises(TypeError):
+        cls(*args, **kwargs)
