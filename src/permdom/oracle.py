@@ -22,27 +22,26 @@ is skipped, which makes the sieve exhaustive ground truth; the pruned
 search in `domination`, which `analyze` needs beyond the oracle's orders,
 is its differential oracle.
 
-The readers are visitors: `_tally_chunk` for `oracle tally`, which pays
-for nothing else; `_census_chunk`, one pass that gathers every fact
-`verify` reads, running the hand heuristic and the quick rules on the
-sweep's image with no `Permutation` or graph object per leaf, and
+The sweep's readers are visitors: `_census_chunk`, one pass that gathers
+every fact `verify` reads, running the hand heuristic and the quick rules
+on the sweep's image with no `Permutation` or graph object per leaf, and
 carrying the clique listing's state from leaf to leaf, since consecutive
-leaves share all but their last few values; and
-the listings `connected_gamma_permutations` and `iter_permutations`.
-(`verify`'s invariant suite has its own, as it rebuilds each graph to
-check the sweep.)
+leaves share all but their last few values; and the listings
+`connected_gamma_permutations` and `iter_permutations`.  (`verify`'s
+invariant suite has its own, as it rebuilds each graph to check the sweep.)
+The tally needs no leaf: `_tally_chunk` meets in the middle instead.
 
 A sweep can be restricted to the permutations that begin with given
-values.  Parallel runs sweep one subtree per ordered pair of leading
-values; the subtrees' tallies and censuses merge by addition, so any worker
-count produces the identical result.
+values.  Parallel runs split a census by ordered pairs of leading values
+and a tally by groups of first-half sets; the parts merge by addition, so
+any worker count produces the identical result.
 """
 from __future__ import annotations
 
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache, reduce
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import add
 
 from ._record import Record
@@ -60,10 +59,12 @@ from .perm import Permutation
 
 DEFAULT_CAP = 9
 HARD_CAP = 11
-# Orders below this sweep in process whatever the job count: S_7 takes
-# about 35 ms there, against about 60 ms to open a pool and send it the 42
-# chunks (2 cores).  From S_8 on the pool wins.
-POOL_MIN_ORDER = 8
+# Tallies below this order run in process whatever the job count.  CLI wall
+# times of `oracle tally --n N`, --jobs 1 against 2 (2 cores, alternating):
+# n = 8, 0.09-0.13 against 0.12-0.14 s; 9, 0.17-0.25 against 0.21-0.33 s;
+# 10, 1.12-1.51 against 0.67-1.33 s; 11, 9.5-11.2 against 6.2-7.0 s.  A
+# census pools from its cap, S_8, where its heuristic outweighs the pool.
+POOL_MIN_ORDER = 10
 # A census runs the hand heuristic, which caps its order.  It counts pair and
 # efficient dominators up to DETAIL_MAX_N only, the range `verify` reads.
 CENSUS_CAP = 8
@@ -206,6 +207,7 @@ def sweep(n: int, visit, lead=()) -> None:
     must match the lead; the prefix before it is {1..n-1}, a split, exactly
     when it is n, and then it is a strong fixed point; and its row counts
     towards the singletons and cuts the sieve mask.
+    `_tally_chunk` applies the same rules to each half of a permutation.
     """
     if n == 0:
         visit([], [], True, 0, 0, 1)  # the empty set dominates the empty graph
@@ -275,18 +277,64 @@ def iter_permutations(n: int) -> list[Permutation]:
     return out
 
 
+def _orderings(n: int, values: int, prefix: int, allowed) -> list[tuple]:
+    """((split, strong, singles), mask) by `sweep`'s rules for each ordering
+    of the value set `values` placed after the set `prefix`, in lexicographic
+    order; position d + 1 may hold only the values in allowed[d]."""
+    meet = _subset_tables(n)[0]
+    full = (1 << n) - 1
+    out = []
+
+    def place(free, prefix, split, strong, singles, mask):
+        if not free:
+            out.append(((split, strong, singles), mask))
+            return
+        d = prefix.bit_count()
+        low = (1 << d) - 1
+        choices = free & allowed[d]
+        while choices:
+            bit = choices & -choices
+            choices ^= bit
+            row = prefix ^ ((bit << 1) - 1)
+            after = prefix | bit
+            place(free ^ bit, after, split or (after == low << 1 | 1 and d + 1 < n),
+                  strong + (prefix == low and bit == low + 1),
+                  singles + (row == full), mask & meet[row])
+
+    place(values, prefix, False, 0, 0, (1 << (1 << n)) - 1)
+    return out
+
+
 def _tally_chunk(args) -> Counter:
     """(gamma, connected, singleton dominators, strong fixed points) ->
-    number of permutations, over the ones that begin with `lead`."""
-    n, lead = args
+    number of permutations, over the ones that begin with `lead` and, for
+    (n, lead, part), whose first h = max(n // 2, len(lead)) values form a
+    set in the slice `part` of the h-sets, in `combinations` order.  A meet
+    in the middle (Horowitz and Sahni, J. ACM 21, 1974): N[v] depends only
+    on the set placed before v, so for each set P of first values, each
+    ordering of P (a head) pairs with each ordering of the rest placed
+    after P (a tail), and each pair is a leaf."""
+    n, lead, part = (*args, slice(None))[:3]
+    full = (1 << n) - 1
+    allowed = [1 << (v - 1) for v in lead] + [full] * (n - len(lead))
+    sets = [sum(1 << v for v in c) for c in combinations(range(n), max(n // 2, len(lead)))]
+    tops = defaultdict(Counter)  # (connected, singles, strong) -> bit lengths
+    for first in sets[part]:
+        heads = _orderings(n, first, 0, allowed)
+        tails = defaultdict(list)
+        for facts, mask in _orderings(n, full ^ first, first, allowed):
+            tails[facts].append(mask)
+        for (split, strong, singles), mask in heads:
+            for (tail_split, tail_strong, tail_singles), masks in tails.items():
+                # A leaf's mask is the and of its halves'; the seam split,
+                # P = {1..h}, is the head's.  The ands run in C.
+                key = not (split or tail_split), singles + tail_singles, strong + tail_strong
+                tops[key].update(map(int.bit_length, map(mask.__and__, masks)))
     card = _subset_tables(n)[1]
     counts = Counter()
-
-    def visit(image, rows, connected, strong, singles, dom):
-        # _gamma(dom, card), inlined: this is the sweep's hottest visitor.
-        counts[card[dom.bit_length() - 1], connected, singles, strong] += 1
-
-    sweep(n, visit, lead)
+    for key, lengths in tops.items():
+        for top, count in lengths.items():
+            counts[(card[top - 1], *key)] += count
     return counts
 
 
@@ -363,29 +411,30 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _merged(chunk, n: int, jobs: int):
-    """`chunk` over all of S_n: in process for one worker or below
-    POOL_MIN_ORDER, else one chunk per ordered pair of leading values (72 at
-    n = 9, so uneven costs share out), merged by addition."""
-    workers = _worker_count(jobs) if n >= POOL_MIN_ORDER else 1
+def _merged(chunk, n: int, jobs: int, shards: list, min_order: int):
+    """`chunk` over all of S_n: `chunk((n, ()))` in process for one worker or
+    below `min_order`, else `chunk` over each of `shards`, merged by addition."""
+    workers = _worker_count(jobs) if n >= min_order else 1
     if workers == 1:
         return chunk((n, ()))
-    leads = permutations(range(1, n + 1), min(2, n))
     with _process_pool(workers) as pool:
-        return reduce(add, pool.map(chunk, [(n, lead) for lead in leads]))
+        return reduce(add, pool.map(chunk, shards))
 
 
 def full_tally(n: int, jobs: int = 1, cap: int = DEFAULT_CAP) -> TallyReport:
     """Tally gamma, connectivity, singleton dominators, and strong fixed
-    points over all of S_n."""
+    points over all of S_n.  A pool takes 16 strides of the first-half sets:
+    a slow worker leaves work to the others."""
     _check_cap(n, min(cap, HARD_CAP))
-    return TallyReport.from_counts(n, _merged(_tally_chunk, n, jobs))
+    shards = [(n, (), slice(i, None, 16)) for i in range(16)]
+    return TallyReport.from_counts(n, _merged(_tally_chunk, n, jobs, shards, POOL_MIN_ORDER))
 
 
 def census(n: int, jobs: int = 1) -> Census:
-    """The census of all of S_n, split across `jobs` as `full_tally` is."""
+    """The census of all of S_n; a pool takes one chunk per two-value lead."""
     _check_cap(n, CENSUS_CAP)
-    return _merged(_census_chunk, n, jobs)
+    shards = [(n, lead) for lead in permutations(range(1, n + 1), min(2, n))]
+    return _merged(_census_chunk, n, jobs, shards, min(POOL_MIN_ORDER, CENSUS_CAP))
 
 
 def c_table(max_n: int, tally=full_tally) -> dict[tuple[int, int], int]:

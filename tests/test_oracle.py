@@ -362,10 +362,11 @@ def test_orders_below_the_pool_threshold_sweep_in_process(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(oracle, "_process_pool",
                         lambda count: SerialPool(workers, count))
+    # The threshold may lie above the default cap.
     for n in range(1, oracle.POOL_MIN_ORDER):
-        full_tally(n, jobs=2)
+        full_tally(n, jobs=2, cap=oracle.HARD_CAP)
     assert workers == []
-    full_tally(oracle.POOL_MIN_ORDER, jobs=2)
+    full_tally(oracle.POOL_MIN_ORDER, jobs=2, cap=oracle.HARD_CAP)
     assert workers == [2]
 
 
