@@ -29,7 +29,11 @@ carrying the clique listing's state from leaf to leaf, since consecutive
 leaves share all but their last few values; and the listings
 `connected_gamma_permutations` and `iter_permutations`.  (`verify`'s
 invariant suite has its own, as it rebuilds each graph to check the sweep.)
-The tally needs no leaf: `_tally_chunk` meets in the middle instead.
+The tally needs no leaf: `_tally_chunk` meets in the middle instead.  It
+builds the orderings of each half a level at a time (`_orderings`), groups
+each half's sieve masks by their split, strong and singleton facts, and
+makes one call per pair of groups, so the and, the bit length and the
+count of every head-tail pair run in C.
 
 A sweep can be restricted to the permutations that begin with given
 values.  Parallel runs split a census by ordered pairs of leading values
@@ -41,8 +45,8 @@ from __future__ import annotations
 import os
 from collections import Counter, defaultdict
 from functools import lru_cache, reduce
-from itertools import combinations, permutations
-from operator import add
+from itertools import combinations, permutations, product, starmap
+from operator import add, and_
 
 from ._record import Record
 from .domination import (
@@ -60,9 +64,10 @@ from .perm import Permutation
 DEFAULT_CAP = 9
 HARD_CAP = 11
 # Tallies below this order run in process whatever the job count.  CLI wall
-# times of `oracle tally --n N`, --jobs 1 against 2 (2 cores, alternating):
-# n = 8, 0.09-0.13 against 0.12-0.14 s; 9, 0.17-0.25 against 0.21-0.33 s;
-# 10, 1.12-1.51 against 0.67-1.33 s; 11, 9.5-11.2 against 6.2-7.0 s.  A
+# times of `oracle tally --n N`, --jobs 1 against a pool of 2 (2 cores,
+# CPython 3.11.7, 6 alternating rounds, 4 at n = 11): n = 8, 0.11-0.14
+# against 0.13-0.21 s; 9, 0.15-0.23 against 0.19-0.32 s; 10, 0.64-1.04
+# against 0.45-0.76 s; 11, 6.2-6.9 against 3.4-4.2 s.  A
 # census pools from its cap, S_8, where its heuristic outweighs the pool.
 POOL_MIN_ORDER = 10
 # A census runs the hand heuristic, which caps its order.  It counts pair and
@@ -189,7 +194,7 @@ def sweep(n: int, visit, lead=()) -> None:
     of a subset), and its highest set bit is a smallest dominating set.
     `image` and `rows` are the walk's own lists, overwritten as it moves
     on: a visitor that keeps them must copy them.  A lead that repeats a
-    value or names one above n gives no call.
+    value, names one above n or is longer than n gives no call.
 
     Values are placed one position at a time.  When v is placed after the
     prefix set P, N[v] is already final: smaller values are neighbors
@@ -210,14 +215,17 @@ def sweep(n: int, visit, lead=()) -> None:
     `_tally_chunk` applies the same rules to each half of a permutation.
     """
     if n == 0:
-        visit([], [], True, 0, 0, 1)  # the empty set dominates the empty graph
+        if not lead:
+            visit([], [], True, 0, 0, 1)  # the empty set dominates the empty graph
         return
     _check_cap(n, HARD_CAP)  # the sieve tables hold 2^n masks of 2^n bits
+    if len(lead) > n:
+        return
     meet = _subset_tables(n)[0]
     full = (1 << n) - 1
     # allowed[d]: the values position d + 1 may hold, as a bitmask.
     allowed = [full] * n
-    for d, v in enumerate(lead[:n]):
+    for d, v in enumerate(lead):
         allowed[d] = 1 << (v - 1)
     every = (1 << (1 << n)) - 1  # all 2^n subsets, before any row is placed
     if n == 1:  # no position n - 1 to place the last value from
@@ -280,29 +288,40 @@ def iter_permutations(n: int) -> list[Permutation]:
 def _orderings(n: int, values: int, prefix: int, allowed) -> list[tuple]:
     """((split, strong, singles), mask) by `sweep`'s rules for each ordering
     of the value set `values` placed after the set `prefix`, in lexicographic
-    order; position d + 1 may hold only the values in allowed[d]."""
+    order; position d + 1 may hold only the values in allowed[d].
+
+    The orderings grow a level at a time: each state (placed set, split,
+    strong, singles, mask) of one level is extended by every value it may
+    take next, lowest first, so each level stays in lexicographic order and
+    no call is made per node."""
     meet = _subset_tables(n)[0]
     full = (1 << n) - 1
-    out = []
-
-    def place(free, prefix, split, strong, singles, mask):
-        if not free:
-            out.append(((split, strong, singles), mask))
-            return
-        d = prefix.bit_count()
+    states = [(prefix, False, 0, 0, (1 << (1 << n)) - 1)]
+    for d in range(prefix.bit_count(), (prefix | values).bit_count()):
         low = (1 << d) - 1
-        choices = free & allowed[d]
-        while choices:
-            bit = choices & -choices
-            choices ^= bit
-            row = prefix ^ ((bit << 1) - 1)
-            after = prefix | bit
-            place(free ^ bit, after, split or (after == low << 1 | 1 and d + 1 < n),
-                  strong + (prefix == low and bit == low + 1),
-                  singles + (row == full), mask & meet[row])
+        # A placement that makes the placed set {1..d+1} splits, unless it is the last.
+        seam = low << 1 | 1 if d + 1 < n else -1
+        grown = []
+        for placed, split, strong, singles, mask in states:
+            choices = values & ~placed & allowed[d]
+            while choices:
+                bit = choices & -choices
+                choices ^= bit
+                row = placed ^ ((bit << 1) - 1)
+                after = placed | bit
+                grown.append((after, split or after == seam,
+                              strong + (placed == low and bit == low + 1),
+                              singles + (row == full), mask & meet[row]))
+        states = grown
+    return [((split, strong, singles), mask) for _, split, strong, singles, mask in states]
 
-    place(values, prefix, False, 0, 0, (1 << (1 << n)) - 1)
-    return out
+
+def _by_facts(orderings) -> dict[tuple, list[int]]:
+    """The masks of `_orderings`' items, grouped by their facts."""
+    groups = defaultdict(list)
+    for facts, mask in orderings:
+        groups[facts].append(mask)
+    return groups
 
 
 def _tally_chunk(args) -> Counter:
@@ -313,23 +332,26 @@ def _tally_chunk(args) -> Counter:
     in the middle (Horowitz and Sahni, J. ACM 21, 1974): N[v] depends only
     on the set placed before v, so for each set P of first values, each
     ordering of P (a head) pairs with each ordering of the rest placed
-    after P (a tail), and each pair is a leaf."""
+    after P (a tail), and each pair is a leaf.
+
+    Heads and tails are grouped by their facts (split, strong, singles).
+    A pair's facts follow from its groups', so one call per pair of groups
+    counts the bit lengths of all their masks' ands, in C."""
     n, lead, part = (*args, slice(None))[:3]
     full = (1 << n) - 1
     allowed = [1 << (v - 1) for v in lead] + [full] * (n - len(lead))
     sets = [sum(1 << v for v in c) for c in combinations(range(n), max(n // 2, len(lead)))]
     tops = defaultdict(Counter)  # (connected, singles, strong) -> bit lengths
     for first in sets[part]:
-        heads = _orderings(n, first, 0, allowed)
-        tails = defaultdict(list)
-        for facts, mask in _orderings(n, full ^ first, first, allowed):
-            tails[facts].append(mask)
-        for (split, strong, singles), mask in heads:
-            for (tail_split, tail_strong, tail_singles), masks in tails.items():
+        heads = _by_facts(_orderings(n, first, 0, allowed))
+        tails = _by_facts(_orderings(n, full ^ first, first, allowed))
+        for (split, strong, singles), head_masks in heads.items():
+            for (tail_split, tail_strong, tail_singles), tail_masks in tails.items():
                 # A leaf's mask is the and of its halves'; the seam split,
-                # P = {1..h}, is the head's.  The ands run in C.
+                # P = {1..h}, is the head's.
                 key = not (split or tail_split), singles + tail_singles, strong + tail_strong
-                tops[key].update(map(int.bit_length, map(mask.__and__, masks)))
+                tops[key].update(map(int.bit_length,
+                                     starmap(and_, product(head_masks, tail_masks))))
     card = _subset_tables(n)[1]
     counts = Counter()
     for key, lengths in tops.items():

@@ -19,6 +19,7 @@ from permdom.oracle import (
     iter_permutations,
     singleton_domination_tally,
 )
+from tally_reference import ref_tally_chunk
 from walk import leaves
 
 
@@ -296,13 +297,17 @@ def test_census_chunks_add_up_to_the_whole_census():
 
 
 def test_sweep_of_an_impossible_lead_is_empty():
-    for lead in ((1, 1), (2, 3, 2), (5,), (1, 6)):
-        assert leaves(4, lead) == []
+    impossible = [(4, lead) for lead in ((1, 1), (2, 3, 2), (5,), (1, 6))]
     assert [image for image, *_ in leaves(4, (2, 4, 1, 3))] == [(2, 4, 1, 3)]
     # Only the last value is impossible: the one value left is 3.
-    for lead in ((2, 4, 1, 1), (2, 4, 1, 2), (2, 4, 1, 4), (2, 4, 1, 5)):
-        assert leaves(4, lead) == []
-    assert leaves(2, (2, 2)) == leaves(2, (1, 1)) == leaves(1, (2,)) == []
+    impossible += [(4, (2, 4, 1, last)) for last in (1, 2, 4, 5)]
+    impossible += [(2, (2, 2)), (2, (1, 1)), (1, (2,))]
+    # Longer than n: no permutation of [n] begins with n + 1 values.
+    impossible += [(2, (1, 2, 3)), (4, (2, 4, 1, 3, 5)), (4, (2, 4, 1, 3, 1)),
+                   (1, (1, 2)), (0, (1,))]
+    for n, lead in impossible:
+        assert leaves(n, lead) == [], (n, lead)
+        assert _tally_chunk((n, lead)) == ref_tally_chunk((n, lead)) == Counter(), (n, lead)
 
 
 class SerialPool:
