@@ -1,44 +1,42 @@
 """Exhaustive ground truth over S_n.
 
 Everything the counting formulas predict is re-derived here by enumerating
-all n! permutations and measuring each graph directly.  One engine,
-`sweep`, does the enumerating: a depth-first walk over prefixes in
-lexicographic order that updates each permutation's closed neighborhoods,
-connectivity, strong fixed points and singleton dominators in O(1) per
-placed value, instead of building every graph from scratch.  The walk
-calls a visitor once per permutation with its own live `image` and `rows`
-lists, which the next placement overwrites, so a visitor copies what it
-keeps.  The last value needs no search: the loop that places the
-next-to-last value places the one value left in line and calls the
-visitor, with no deeper call.
+all n! permutations and measuring each graph directly, by one engine.
+N[v] depends only on the set placed before v, so a permutation splits into
+a head, an ordering of its first n // 2 values P, and a tail, an ordering
+of the other values placed after P, and each half's closed neighborhoods,
+splits, strong fixed points and singleton dominators follow from that half
+alone.  `_orderings` builds the halves of each first-half set a level at a
+time, in lexicographic order, updating those facts in O(1) per placed
+value instead of building every graph from scratch.
 
-The sweep also sieves the 2^n vertex subsets: it carries a 2^n-bit mask
+The halves also sieve the 2^n vertex subsets: each carries a 2^n-bit mask
 whose bit t is set while the subset order[t] meets every closed
 neighborhood placed so far, and ands in one precomputed mask per placed
-value.  `order` lists the subsets by size, largest first, so at a leaf the
-mask holds exactly the dominating sets and its highest bit is a smallest
-one: gamma is card[dom.bit_length() - 1].  Every subset is tested and none
-is skipped, which makes the sieve exhaustive ground truth; the pruned
-search in `domination`, which `analyze` needs beyond the oracle's orders,
-is its differential oracle.
+value.  `order` lists the subsets by size, largest first, so the and of a
+head's and a tail's masks holds exactly the dominating sets of their
+permutation and its highest bit is a smallest one: gamma is
+card[dom.bit_length() - 1].  Every subset is tested and none is skipped,
+which makes the sieve exhaustive ground truth; the pruned search in
+`domination`, which `analyze` needs beyond the oracle's orders, is its
+differential oracle.
 
-The sweep's readers are visitors: `_census_chunk`, one pass that gathers
-every fact `verify` reads, running the hand heuristic and the quick rules
-on the sweep's image with no `Permutation` or graph object per leaf, and
-carrying the clique listing's state from leaf to leaf, since consecutive
-leaves share all but their last few values; and the listings
+Two readers pair the halves.  `sweep` visits every head-tail pair as a
+leaf, in lexicographic order.  Its visitors are `_census_chunk`, one pass
+that gathers every fact `verify` reads, running the hand heuristic and the
+quick rules on the leaf's image with no `Permutation` or graph object per
+leaf, and carrying the clique listing's state from leaf to leaf, since
+consecutive leaves share all but their last few values; and the listings
 `connected_gamma_permutations` and `iter_permutations`.  (`verify`'s
-invariant suite has its own, as it rebuilds each graph to check the sweep.)
-The tally needs no leaf: `_tally_chunk` meets in the middle instead.  It
-builds the orderings of each half a level at a time (`_orderings`), groups
-each half's sieve masks by their split, strong and singleton facts, and
-makes one call per pair of groups, so the and, the bit length and the
+invariant suite has its own, as it rebuilds each graph to check the
+sweep.)  The tally needs no leaf: `_tally_chunk` meets in the middle.  It
+groups each half's sieve masks by their split, strong and singleton facts
+and makes one call per pair of groups, so the and, the bit length and the
 count of every head-tail pair run in C.
 
-A sweep can be restricted to the permutations that begin with given
-values.  Parallel runs split a census by ordered pairs of leading values
-and a tally by groups of first-half sets; the parts merge by addition, so
-any worker count produces the identical result.
+Parallel runs split a census and a tally alike, by strides of the
+first-half sets; the parts merge by addition, so any worker count produces
+the identical result.
 """
 from __future__ import annotations
 
@@ -46,7 +44,7 @@ import os
 from collections import Counter, defaultdict
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product, starmap
-from operator import add, and_
+from operator import add, and_, itemgetter, or_
 
 from ._record import Record
 from .domination import (
@@ -181,114 +179,24 @@ def _gamma(dom: int, card: tuple[int, ...]) -> int:
     return card[dom.bit_length() - 1]
 
 
-def sweep(n: int, visit, lead=()) -> None:
-    """Call `visit(image, rows, connected, strong, singles, dom)` once for
-    every permutation of [n] that begins with the values in `lead`, in
-    lexicographic order.
-
-    The arguments are the one-line notation, the closed neighborhoods
-    (rows[v-1] = N[v] as a bitmask), whether the graph is connected, the
-    number of strong fixed points, the number of singleton dominators, and
-    the dominating sets as a 2^n-bit mask: bit t is set when the vertex
-    subset order[t] of `_subset_tables(n)` dominates (vertex v is bit v-1
-    of a subset), and its highest set bit is a smallest dominating set.
-    `image` and `rows` are the walk's own lists, overwritten as it moves
-    on: a visitor that keeps them must copy them.  A lead that repeats a
-    value, names one above n or is longer than n gives no call.
-
-    Values are placed one position at a time.  When v is placed after the
-    prefix set P, N[v] is already final: smaller values are neighbors
-    exactly when they come later, larger ones exactly when they came
-    earlier, so N[v] = P ^ ((1 << v) - 1).  {v} dominates when that row is
-    full; the graph is disconnected when some proper prefix is {1..k}; and
-    position k holds a strong fixed point when v == k and the prefix before
-    it is {1..k-1}.  Since the row is final, the sieve mask is cut to the
-    subsets that meet it, dom &= meet[N[v]], and after the last value it
-    holds the subsets that meet every closed neighborhood.
-
-    Once n - 1 values are placed only one is left, so the loop that places
-    position n - 1 also places position n in line and calls `visit`, with
-    no deeper call.  The last value passes every test the others do: it
-    must match the lead; the prefix before it is {1..n-1}, a split, exactly
-    when it is n, and then it is a strong fixed point; and its row counts
-    towards the singletons and cuts the sieve mask.
-    `_tally_chunk` applies the same rules to each half of a permutation.
-    """
-    if n == 0:
-        if not lead:
-            visit([], [], True, 0, 0, 1)  # the empty set dominates the empty graph
-        return
-    _check_cap(n, HARD_CAP)  # the sieve tables hold 2^n masks of 2^n bits
-    if len(lead) > n:
-        return
-    meet = _subset_tables(n)[0]
-    full = (1 << n) - 1
-    # allowed[d]: the values position d + 1 may hold, as a bitmask.
-    allowed = [full] * n
-    for d, v in enumerate(lead):
-        allowed[d] = 1 << (v - 1)
-    every = (1 << (1 << n)) - 1  # all 2^n subsets, before any row is placed
-    if n == 1:  # no position n - 1 to place the last value from
-        if allowed[0] & 1:
-            visit([1], [1], True, 1, 1, every & meet[1])
-        return
-    image = [0] * n
-    rows = [0] * n
-    top = 1 << (n - 1)  # the bit of value n
-    end_allowed = allowed[n - 1]
-
-    def place(d, prefix, disconnected, strong, singles, dom):
-        low = (1 << d) - 1
-        split = (low << 1) | 1
-        free = (full ^ prefix) & allowed[d]
-        if d + 2 < n:
-            while free:
-                bit = free & -free
-                free ^= bit
-                v = bit.bit_length()
-                row = prefix ^ ((bit << 1) - 1)
-                image[d] = v
-                rows[v - 1] = row
-                after = prefix | bit
-                place(d + 1, after, disconnected or after == split,
-                      strong + (prefix == low and bit == low + 1),
-                      singles + (row == full), dom & meet[row])
-            return
-        while free:
-            bit = free & -free
-            free ^= bit
-            after = prefix | bit
-            end = full ^ after  # the one value left for position n
-            if not end & end_allowed:
-                continue
-            v = bit.bit_length()
-            row = prefix ^ ((bit << 1) - 1)
-            image[d] = v
-            rows[v - 1] = row
-            w = end.bit_length()
-            end_row = after ^ ((end << 1) - 1)
-            image[d + 1] = w
-            rows[w - 1] = end_row
-            visit(image, rows, not (disconnected or after == split),
-                  strong + (prefix == low and bit == low + 1) + (end == top),
-                  singles + (row == full) + (end_row == full),
-                  dom & meet[row] & meet[end_row])
-
-    place(0, 0, False, 0, 0, every)
+def _first_sets(n: int) -> list[int]:
+    """Every set of n // 2 values of [n], as a bitmask, in `combinations`
+    order: the sets P of first values that split S_n into its head-tail
+    pairs.  A pool takes strides of this list."""
+    return [sum(1 << v for v in c) for c in combinations(range(n), n // 2)]
 
 
-def iter_permutations(n: int) -> list[Permutation]:
-    """Permutations of [n] in lexicographic order, as a list of Permutation
-    values."""
-    out = []
-    sweep(n, lambda image, *_: out.append(Permutation(tuple(image))))
-    return out
+def _orderings(n: int, values: int, prefix: int) -> list[tuple]:
+    """((split, strong, singles), mask) for each ordering of the value set
+    `values` placed after the set `prefix`, in lexicographic order.
 
-
-def _orderings(n: int, values: int, prefix: int, allowed) -> list[tuple]:
-    """((split, strong, singles), mask) by `sweep`'s rules for each ordering
-    of the value set `values` placed after the set `prefix`, in lexicographic
-    order; position d + 1 may hold only the values in allowed[d].
+    When v is placed after the set P, N[v] is already final: smaller values
+    are neighbors exactly when they come later, larger ones exactly when
+    they came earlier, so N[v] = P ^ ((1 << v) - 1).  {v} dominates when
+    that row is full; the graph is disconnected when some proper prefix is
+    {1..k}; and position k holds a strong fixed point when v == k and the
+    prefix before it is {1..k-1}.  The mask starts with all 2^n subsets and
+    is cut to the ones that meet each row, mask &= meet[N[v]].
 
     The orderings grow a level at a time: each state (placed set, split,
     strong, singles, mask) of one level is extended by every value it may
@@ -303,7 +211,7 @@ def _orderings(n: int, values: int, prefix: int, allowed) -> list[tuple]:
         seam = low << 1 | 1 if d + 1 < n else -1
         grown = []
         for placed, split, strong, singles, mask in states:
-            choices = values & ~placed & allowed[d]
+            choices = values & ~placed
             while choices:
                 bit = choices & -choices
                 choices ^= bit
@@ -316,6 +224,72 @@ def _orderings(n: int, values: int, prefix: int, allowed) -> list[tuple]:
     return [((split, strong, singles), mask) for _, split, strong, singles, mask in states]
 
 
+def _halves(n: int, values: int, prefix: int) -> list[tuple]:
+    """(image, rows, split, strong, singles, mask) for each ordering of the
+    value set `values` placed after the set `prefix`, in lexicographic
+    order: `_orderings`' items with their one-line notation, and with rows
+    as a list of n that holds N[v] = P ^ ((1 << v) - 1) at the ordering's
+    own values v, P being the set placed before v, and 0 elsewhere.  The
+    rows are rebuilt here: carried in `_orderings`' states, which the tally
+    builds too, they cost `oracle tally --n 8` about 4%."""
+    halves = []
+    members = [v for v in range(1, n + 1) if values >> (v - 1) & 1]
+    for image, (facts, mask) in zip(permutations(members), _orderings(n, values, prefix)):
+        rows = [0] * n
+        placed = prefix
+        for v in image:
+            rows[v - 1] = placed ^ ((1 << v) - 1)
+            placed |= 1 << (v - 1)
+        halves.append((image, rows, *facts, mask))
+    return halves
+
+
+def sweep(n: int, visit, part=slice(None)) -> None:
+    """Call `visit(image, rows, connected, strong, singles, dom)` once for
+    every permutation of [n] whose first n // 2 values form a set in
+    `_first_sets(n)[part]` (by default, every permutation), in
+    lexicographic order.
+
+    The arguments are the one-line notation as a tuple, the closed
+    neighborhoods (rows[v-1] = N[v] as a bitmask, in a list of the call's
+    own), whether the graph is connected, the number of strong fixed
+    points, the number of singleton dominators, and the dominating sets as
+    a 2^n-bit mask: bit t is set when the vertex subset order[t] of
+    `_subset_tables(n)` dominates (vertex v is bit v-1 of a subset), and
+    its highest set bit is a smallest dominating set.
+
+    A permutation is a head, an ordering of its first-half set P, followed
+    by a tail, an ordering of the other values placed after P; `_halves`
+    builds both by `_orderings`' rules.  Since N[v] depends only on the set
+    placed before v, a leaf's rows are its halves' rows together, its sieve
+    mask is the and of theirs, it is connected when neither half splits,
+    and its strong and singleton counts are theirs added.  The heads of
+    every set are sorted together and each is followed by its set's tails
+    in order, so the leaves come in lexicographic order.
+    """
+    if n:
+        _check_cap(n, HARD_CAP)  # the sieve tables hold 2^n masks of 2^n bits
+    full = (1 << n) - 1
+    heads = []
+    for first in _first_sets(n)[part]:
+        tails = _halves(n, full ^ first, first)
+        heads += ((*head, tails) for head in _halves(n, first, 0))
+    heads.sort(key=itemgetter(0))
+    for image, rows, split, strong, singles, mask, tails in heads:
+        for tail, tail_rows, tail_split, tail_strong, tail_singles, tail_mask in tails:
+            visit(image + tail, list(map(or_, rows, tail_rows)),
+                  not (split or tail_split), strong + tail_strong,
+                  singles + tail_singles, mask & tail_mask)
+
+
+def iter_permutations(n: int) -> list[Permutation]:
+    """Permutations of [n] in lexicographic order, as a list of Permutation
+    values."""
+    out = []
+    sweep(n, lambda image, *_: out.append(Permutation(image)))
+    return out
+
+
 def _by_facts(orderings) -> dict[tuple, list[int]]:
     """The masks of `_orderings`' items, grouped by their facts."""
     groups = defaultdict(list)
@@ -326,25 +300,22 @@ def _by_facts(orderings) -> dict[tuple, list[int]]:
 
 def _tally_chunk(args) -> Counter:
     """(gamma, connected, singleton dominators, strong fixed points) ->
-    number of permutations, over the ones that begin with `lead` and, for
-    (n, lead, part), whose first h = max(n // 2, len(lead)) values form a
-    set in the slice `part` of the h-sets, in `combinations` order.  A meet
-    in the middle (Horowitz and Sahni, J. ACM 21, 1974): N[v] depends only
-    on the set placed before v, so for each set P of first values, each
-    ordering of P (a head) pairs with each ordering of the rest placed
-    after P (a tail), and each pair is a leaf.
+    number of permutations, over the ones whose first n // 2 values form a
+    set in `_first_sets(n)[part]`, for (n, part).  A meet in the middle
+    (Horowitz and Sahni, J. ACM 21, 1974): N[v] depends only on the set
+    placed before v, so for each set P of first values, each ordering of P
+    (a head) pairs with each ordering of the rest placed after P (a tail),
+    and each pair is a leaf.
 
     Heads and tails are grouped by their facts (split, strong, singles).
     A pair's facts follow from its groups', so one call per pair of groups
     counts the bit lengths of all their masks' ands, in C."""
-    n, lead, part = (*args, slice(None))[:3]
+    n, part = args
     full = (1 << n) - 1
-    allowed = [1 << (v - 1) for v in lead] + [full] * (n - len(lead))
-    sets = [sum(1 << v for v in c) for c in combinations(range(n), max(n // 2, len(lead)))]
     tops = defaultdict(Counter)  # (connected, singles, strong) -> bit lengths
-    for first in sets[part]:
-        heads = _by_facts(_orderings(n, first, 0, allowed))
-        tails = _by_facts(_orderings(n, full ^ first, first, allowed))
+    for first in _first_sets(n)[part]:
+        heads = _by_facts(_orderings(n, first, 0))
+        tails = _by_facts(_orderings(n, full ^ first, first))
         for (split, strong, singles), head_masks in heads.items():
             for (tail_split, tail_strong, tail_singles), tail_masks in tails.items():
                 # A leaf's mask is the and of its halves'; the seam split,
@@ -361,15 +332,16 @@ def _tally_chunk(args) -> Counter:
 
 
 def _census_chunk(args) -> Census:
-    """The census of the permutations of [n] that begin with `lead`.  A set
-    dominates efficiently when it meets every closed neighborhood once.  The
-    heuristic runs on the sweep's image, with no graph object, and its
-    output is checked to dominate: the or of its chosen rows must be full.
+    """The census of the permutations `sweep(n, visit, part)` visits, for
+    (n, part).  A set dominates efficiently when it meets every closed
+    neighborhood once.  The heuristic runs on the sweep's image, with no
+    graph object, and its output is checked to dominate: the or of its
+    chosen rows must be full.
     The heuristic's clique listing keeps one memo for the chunk and resumes
     at the first position where a leaf differs from the one before.
     `optimal` counts where it has minimum size, among the permutations no
     end-pattern quick rule matches."""
-    n, lead = args
+    n, part = args
     _, card, order = _subset_tables(n)
     detail = n <= DETAIL_MAX_N
     once = _meet_once_table(n) if detail else ()
@@ -413,7 +385,7 @@ def _census_chunk(args) -> Census:
         elif len(chosen) == gamma:
             optimal += 1
 
-    sweep(n, visit, lead)
+    sweep(n, visit, part)
     quality = HeuristicQuality(sum(tally.values()), excluded, optimal)
     return Census(tally, singletons, pairs, efficient, quality)
 
@@ -433,30 +405,29 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _merged(chunk, n: int, jobs: int, shards: list, min_order: int):
-    """`chunk` over all of S_n: `chunk((n, ()))` in process for one worker or
-    below `min_order`, else `chunk` over each of `shards`, merged by addition."""
+def _merged(chunk, n: int, jobs: int, min_order: int):
+    """`chunk` over all of S_n: `chunk((n, slice(None)))` in process for one
+    worker or below `min_order`, else `chunk` over each of 16 strides of the
+    first-half sets, merged by addition.  A slow worker leaves work to the
+    others."""
     workers = _worker_count(jobs) if n >= min_order else 1
     if workers == 1:
-        return chunk((n, ()))
+        return chunk((n, slice(None)))
     with _process_pool(workers) as pool:
-        return reduce(add, pool.map(chunk, shards))
+        return reduce(add, pool.map(chunk, [(n, slice(i, None, 16)) for i in range(16)]))
 
 
 def full_tally(n: int, jobs: int = 1, cap: int = DEFAULT_CAP) -> TallyReport:
     """Tally gamma, connectivity, singleton dominators, and strong fixed
-    points over all of S_n.  A pool takes 16 strides of the first-half sets:
-    a slow worker leaves work to the others."""
+    points over all of S_n."""
     _check_cap(n, min(cap, HARD_CAP))
-    shards = [(n, (), slice(i, None, 16)) for i in range(16)]
-    return TallyReport.from_counts(n, _merged(_tally_chunk, n, jobs, shards, POOL_MIN_ORDER))
+    return TallyReport.from_counts(n, _merged(_tally_chunk, n, jobs, POOL_MIN_ORDER))
 
 
 def census(n: int, jobs: int = 1) -> Census:
-    """The census of all of S_n; a pool takes one chunk per two-value lead."""
+    """The census of all of S_n."""
     _check_cap(n, CENSUS_CAP)
-    shards = [(n, lead) for lead in permutations(range(1, n + 1), min(2, n))]
-    return _merged(_census_chunk, n, jobs, shards, min(POOL_MIN_ORDER, CENSUS_CAP))
+    return _merged(_census_chunk, n, jobs, min(POOL_MIN_ORDER, CENSUS_CAP))
 
 
 def c_table(max_n: int, tally=full_tally) -> dict[tuple[int, int], int]:
@@ -481,7 +452,7 @@ def connected_gamma_permutations(n: int, k: int):
 
     def visit(image, rows, connected, strong, singles, dom):
         if connected and _gamma(dom, card) == k:
-            found.append(Permutation(tuple(image)))
+            found.append(Permutation(image))
 
     sweep(n, visit)
     return found

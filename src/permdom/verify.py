@@ -313,7 +313,7 @@ def check_invariant_suite(max_n: int) -> CheckResult:
     bad = []
 
     def visit(image, rows, connected, strong, singles, _):
-        p = Permutation(tuple(image))
+        p = Permutation(image)
         g = build_graph(p)
         if not degree_bound_check(g):
             bad.append(f"degree bound [{p}]")

@@ -19,15 +19,12 @@ from permdom.oracle import (
     iter_permutations,
     singleton_domination_tally,
 )
-from tally_reference import ref_tally_chunk
 from walk import leaves
 
 
 def test_sweep_is_lexicographic():
     for n in range(7):
         expected = list(permutations(range(1, n + 1)))
-        # The listings copy the walk's live lists: kept as they are, every
-        # entry would show the last permutation.
         assert [p.image for p in iter_permutations(n)] == expected
         assert [image for image, *_ in leaves(n)] == expected
 
@@ -273,41 +270,31 @@ def test_sweep_above_the_hard_cap_fails_before_building_tables():
     assert oracle._subset_tables.cache_info().currsize == built
 
 
-def test_sweep_leads_concatenate_to_the_whole_sweep():
-    # Leads of every length for n <= 6, n - 1 and n among them: the walk
-    # places the last value in line, so a lead that reaches it must filter
-    # it there.  At n = 7, the leads the pool splits by.
+def _strides(count: int) -> list[slice]:
+    """`count` strides of the first-half sets, as a pool takes 16."""
+    return [slice(i, None, count) for i in range(count)]
+
+
+def test_sweep_strides_merge_into_the_whole_sweep():
+    # Each stride pairs the halves of some of the first-half sets; its heads
+    # are sorted together, so the stride is lexicographic on its own.
     for n in range(8):
         whole = leaves(n)
-        for length in range(n + 1) if n <= 6 else (1, 2):
-            leads = list(permutations(range(1, n + 1), length))
+        for count in (1, 2, 5, 16):
+            strides = [leaves(n, part) for part in _strides(count)]
+            for stride in strides:
+                assert stride == sorted(stride)
             # Every field matches, the sieve mask `dom` included.
-            assert [v for lead in leads for v in leaves(n, lead)] == whole
-            merged = sum((_tally_chunk((n, lead)) for lead in leads), Counter())
-            assert merged == _tally_chunk((n, ()))
+            assert sorted(leaf for stride in strides for leaf in stride) == whole
 
 
 def test_census_chunks_add_up_to_the_whole_census():
     for n in (4, 5, 6, 7):
-        whole = _census_chunk((n, ()))
-        leads = permutations(range(1, n + 1), 2)
-        assert reduce(add, (_census_chunk((n, lead)) for lead in leads)) == whole
-        assert whole.tally == _tally_chunk((n, ()))
+        whole = _census_chunk((n, slice(None)))
+        chunks = (_census_chunk((n, part)) for part in _strides(16))
+        assert reduce(add, chunks) == whole
+        assert whole.tally == _tally_chunk((n, slice(None)))
         assert whole.heuristic.total == factorial(n)
-
-
-def test_sweep_of_an_impossible_lead_is_empty():
-    impossible = [(4, lead) for lead in ((1, 1), (2, 3, 2), (5,), (1, 6))]
-    assert [image for image, *_ in leaves(4, (2, 4, 1, 3))] == [(2, 4, 1, 3)]
-    # Only the last value is impossible: the one value left is 3.
-    impossible += [(4, (2, 4, 1, last)) for last in (1, 2, 4, 5)]
-    impossible += [(2, (2, 2)), (2, (1, 1)), (1, (2,))]
-    # Longer than n: no permutation of [n] begins with n + 1 values.
-    impossible += [(2, (1, 2, 3)), (4, (2, 4, 1, 3, 5)), (4, (2, 4, 1, 3, 1)),
-                   (1, (1, 2)), (0, (1,))]
-    for n, lead in impossible:
-        assert leaves(n, lead) == [], (n, lead)
-        assert _tally_chunk((n, lead)) == ref_tally_chunk((n, lead)) == Counter(), (n, lead)
 
 
 class SerialPool:
@@ -388,4 +375,4 @@ def test_census_is_identical_for_every_chunking(monkeypatch):
     single, *split = [census(6, jobs=j) for j in (1, 2, 3)]
     assert workers == [2, 3]
     assert all(other == single for other in split)
-    assert single.tally == _tally_chunk((6, ()))
+    assert single.tally == _tally_chunk((6, slice(None)))

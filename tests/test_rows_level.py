@@ -189,4 +189,4 @@ def test_census_fails_when_the_heuristic_leaves_a_vertex_undominated(monkeypatch
 
     monkeypatch.setattr(oracle, "_heuristic_cover", drop_one)
     with pytest.raises(AssertionError, match=r"does not dominate \[1,2,3,4,5\]"):
-        oracle._census_chunk((5, ()))
+        oracle._census_chunk((5, slice(None)))

@@ -1,22 +1,25 @@
-"""`oracle._tally_chunk` pairs first-half orderings (heads) with the
-orderings of the other values placed after them (tails) instead of visiting
-the leaves of `oracle.sweep`.  These tests check each pair against the leaf
-it stands for, the histograms against the leaf-by-leaf tally, and the full
-tally past the sweep's own Tier-1 orders against the counting formulas."""
+"""`oracle._orderings` builds first-half orderings (heads) and the
+orderings of the other values placed after them (tails); `oracle.sweep`
+visits each head-tail pair as a leaf, and `oracle._tally_chunk` counts the
+pairs without visiting them.  These tests check each pair against its
+permutation's graph built from scratch, the histograms against the
+leaf-by-leaf tally of such graphs, and the full tally past the sweep's own
+Tier-1 orders against the counting formulas."""
 from collections import Counter
-from itertools import combinations, permutations
 from math import factorial
+from operator import or_
 
 import pytest
 
 from permdom import counting
 from permdom.oracle import (
-    _orderings,
+    _first_sets,
+    _halves,
     _tally_chunk,
     full_tally,
 )
-from tally_reference import ref_tally_chunk
-from walk import leaves
+from tally_reference import ref_tally
+from walk import scratch_leaf
 
 
 def _values(mask: int) -> list[int]:
@@ -26,49 +29,38 @@ def _values(mask: int) -> list[int]:
 @pytest.mark.parametrize("n", range(1, 8))
 def test_each_head_and_tail_pair_is_its_leaf(n):
     # Equal histograms could hide two errors that cancel: here every pair
-    # rebuilds its permutation and must carry that leaf's own facts.
-    by_image = {image: facts for image, _, *facts in leaves(n)}
+    # rebuilds its permutation and must carry the facts of its graph, built
+    # from scratch.  `_halves` pairs each of `_orderings`' items with its
+    # ordering from `permutations`, so an item out of lexicographic order
+    # carries another permutation's facts.
     full = (1 << n) - 1
-    allowed = [full] * n
-    h = n // 2
     paired = 0
-    for first in combinations(range(n), h):
-        first = sum(1 << v for v in first)
-        rest = full ^ first
-        # The halves come in lexicographic order of their values.
-        heads = list(zip(permutations(_values(first)), _orderings(n, first, 0, allowed),
-                         strict=True))
-        tails = list(zip(permutations(_values(rest)), _orderings(n, rest, first, allowed),
-                         strict=True))
-        for head, ((split, strong, singles), mask) in heads:
-            for tail, ((tail_split, tail_strong, tail_singles), tail_mask) in tails:
-                connected, leaf_strong, leaf_singles, dom = by_image[head + tail]
-                assert mask & tail_mask == dom, (head, tail)
-                assert (not (split or tail_split)) == connected, (head, tail)
-                assert strong + tail_strong == leaf_strong, (head, tail)
-                assert singles + tail_singles == leaf_singles, (head, tail)
+    for first in _first_sets(n):
+        tails = _halves(n, full ^ first, first)
+        for head, rows, split, strong, singles, mask in _halves(n, first, 0):
+            assert sorted(head) == _values(first)
+            for tail, tail_rows, tail_split, tail_strong, tail_singles, tail_mask in tails:
+                image = head + tail
+                _, leaf_rows, connected, leaf_strong, leaf_singles, dom = scratch_leaf(image)
+                assert tuple(map(or_, rows, tail_rows)) == leaf_rows, image
+                assert mask & tail_mask == dom, image
+                assert (not (split or tail_split)) == connected, image
+                assert strong + tail_strong == leaf_strong, image
+                assert singles + tail_singles == leaf_singles, image
                 paired += 1
     assert paired == factorial(n)
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_tally_equals_the_leaf_by_leaf_tally(n):
-    assert _tally_chunk((n, ())) == ref_tally_chunk((n, ()))
-
-
-def test_tally_of_each_lead_equals_the_leaf_by_leaf_tally():
-    # Leads longer than n // 2 move the split point to the lead's end.
-    for n in range(7):
-        for length in range(n + 1):
-            for lead in permutations(range(1, n + 1), length):
-                assert _tally_chunk((n, lead)) == ref_tally_chunk((n, lead)), lead
+    assert _tally_chunk((n, slice(None))) == ref_tally(n)
 
 
 @pytest.mark.parametrize("strides", [1, 2, 5, 16])
 def test_strides_of_the_first_half_sets_add_up_to_the_whole_tally(strides):
     for n in (4, 7, 8):
-        shards = [(n, (), slice(i, None, strides)) for i in range(strides)]
-        assert sum(map(_tally_chunk, shards), Counter()) == _tally_chunk((n, ()))
+        shards = [(n, slice(i, None, strides)) for i in range(strides)]
+        assert sum(map(_tally_chunk, shards), Counter()) == _tally_chunk((n, slice(None)))
 
 
 @pytest.mark.parametrize("n", [9, 10])
