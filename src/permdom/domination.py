@@ -139,8 +139,7 @@ def count_minimum_dominating_sets(g: PermutationGraph) -> int:
 
 def count_singleton_dominators(g: PermutationGraph) -> int:
     """Number of k for which {k} dominates, by the direct N[k] check."""
-    full = g.full_mask()
-    return sum(1 for row in g.closed_rows() if row == full)
+    return g.closed_rows().count(g.full_mask())
 
 
 def singleton_dominators_by_position(p: Permutation) -> frozenset[int]:
@@ -304,14 +303,15 @@ def _heuristic_cover(cliques: list[int], n: int) -> list[int]:
     return chosen
 
 
-def _memberships(cliques: list[int], n: int) -> list[int]:
+def _memberships(cliques: list[int], n: int, columns=None) -> list[int]:
     """Clique membership by vertex: bit k of holds[v] is set when
-    cliques[k] contains vertex v + 1.  The cliques are written as text, one
-    row of n binary digits each after a row of zeros (so no column is empty),
-    and each vertex's column is read back as one int: no call per bit, and
-    no or into an ever wider int, which would be quadratic in the clique
-    count."""
+    cliques[k] contains vertex v + 1, for v in `columns` (by default every
+    v < n).  The cliques are written as text, one row of n binary digits
+    each after a row of zeros (so no column is empty), and each vertex's
+    column is read back as one int: no call per bit, and no or into an ever
+    wider int, which would be quadratic in the clique count."""
     top = 1 << n  # bin(c | top) is "0b1" and then c in exactly n digits
     text = "".join([bin(top), *[bin(c | top) for c in reversed(cliques)]])
     width = n + 3
-    return [int(text[i::width], 2) for i in range(width - 1, 2, -1)]
+    return [int(text[width - 1 - v::width], 2)
+            for v in (range(n) if columns is None else columns)]

@@ -8,9 +8,16 @@ are open items in ROADMAP.md.
 """
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import or_
+
 from ._record import Record
 from .errors import OrderTooLarge, VertexOutOfRange
 from .perm import MAX_GRAPH_ORDER, Permutation
+
+
+# _BITS[i] = 1 << i, for the closed rows of graphs up to the order cap.
+_BITS = tuple(1 << i for i in range(MAX_GRAPH_ORDER))
 
 
 def mask_of(vertices) -> int:
@@ -55,7 +62,9 @@ class PermutationGraph(Record):
 
     def closed_rows(self) -> tuple[int, ...]:
         """All closed neighborhoods; row i-1 is the domination-matrix row i."""
-        return tuple(r | (1 << i) for i, r in enumerate(self.rows))
+        rows = self.rows
+        bits = _BITS if len(rows) <= len(_BITS) else [1 << i for i in range(len(rows))]
+        return tuple(map(or_, rows, bits))
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -106,13 +115,8 @@ def build_graph(p: Permutation) -> PermutationGraph:
 
 def _prefix_split_points(p: Permutation) -> list[int]:
     """All k < n where the first k positions hold exactly the values 1..k."""
-    out = []
-    max_seen = 0
-    for k, v in enumerate(p.image[:-1], start=1):
-        max_seen = max(max_seen, v)
-        if max_seen == k:
-            out.append(k)
-    return out
+    return [k for k, top in enumerate(accumulate(p.image[:-1], max), start=1)
+            if top == k]
 
 
 def is_connected(g: PermutationGraph) -> bool:
@@ -124,22 +128,23 @@ def is_connected(g: PermutationGraph) -> bool:
 def is_connected_search(g: PermutationGraph) -> bool:
     """Connectivity by plain breadth-first search; the independent check the
     prefix criterion is validated against."""
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
+    return g.n == 0 or component_mask(g, 1) == g.full_mask()
+
+
+def component_mask(g: PermutationGraph, v: int) -> int:
+    """The vertices of v's connected component as a bitmask, by plain
+    breadth-first search over the rows of the set bits of each frontier."""
+    rows = g.rows
+    seen = frontier = 1 << (v - 1)
     while frontier:
-        nxt = 0
-        v = 1
-        m = frontier
-        while m:
-            if m & 1:
-                nxt |= g.rows[v - 1]
-            m >>= 1
-            v += 1
-        frontier = nxt & ~seen
+        reached = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reached |= rows[bit.bit_length() - 1]
+        frontier = reached & ~seen
         seen |= frontier
-    return seen == g.full_mask()
+    return seen
 
 
 def components(g: PermutationGraph) -> list[tuple[int, Permutation]]:
@@ -148,10 +153,14 @@ def components(g: PermutationGraph) -> list[tuple[int, Permutation]]:
     Each component occupies a run of consecutive values in consecutive
     positions; it is reported as (offset, tau) where tau is the induced
     permutation shifted down to start at 1.  Shifting each tau back up by
-    its offset and concatenating reconstructs the source permutation.
+    its offset and concatenating reconstructs the source permutation.  A
+    connected graph is its own component, (0, p).
     """
     p = g.source
-    bounds = _prefix_split_points(p) + [p.n]
+    splits = _prefix_split_points(p)
+    if not splits:
+        return [(0, p)]
+    bounds = splits + [p.n]
     out = []
     start = 0
     for end in bounds:

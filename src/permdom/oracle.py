@@ -21,18 +21,20 @@ which makes the sieve exhaustive ground truth; the pruned search in
 `domination`, which `analyze` needs beyond the oracle's orders, is its
 differential oracle.
 
-Two readers pair the halves.  `sweep` visits every head-tail pair as a
-leaf, in lexicographic order.  Its visitors are `_census_chunk`, one pass
-that gathers every fact `verify` reads, running the hand heuristic and the
-quick rules on the leaf's image with no `Permutation` or graph object per
-leaf, and carrying the clique listing's state from leaf to leaf, since
-consecutive leaves share all but their last few values; and the listings
-`connected_gamma_permutations` and `iter_permutations`.  (`verify`'s
-invariant suite has its own, as it rebuilds each graph to check the
-sweep.)  The tally needs no leaf: `_tally_chunk` meets in the middle.  It
-groups each half's sieve masks by their split, strong and singleton facts
-and makes one call per pair of groups, so the and, the bit length and the
-count of every head-tail pair run in C.
+The halves are paired in two ways.  Counts need no leaf: they meet in the
+middle.  `_tally_chunk` groups each half's sieve masks by their split,
+strong and singleton facts and makes one call per pair of groups, so the
+and, the bit length and the count of every head-tail pair run in C; and
+`_census_counts` gets the singleton, pair and efficient dominators of a
+census from column counts of each side's masks, a product per subset.
+`sweep` visits every head-tail pair as a leaf, in lexicographic order, for
+what only a leaf gives.  Its visitors are the census's hand heuristic in
+`_census_chunk`, which runs with the quick rules on the leaf's image with
+no `Permutation` or graph object per leaf, and carries the clique listing's
+state from leaf to leaf, since consecutive leaves share all but their last
+few values; the listings `connected_gamma_permutations` and
+`iter_permutations`; and `verify`'s invariant suite, which rebuilds each
+graph to check the sweep.
 
 Parallel runs split a census and a tally alike, by strides of the
 first-half sets; the parts merge by addition, so any worker count produces
@@ -110,8 +112,9 @@ class HeuristicQuality(Record):
 
 
 class Census(Record):
-    """Every fact `verify` reads about a set of permutations of [n], from one
-    sweep.  Censuses of disjoint sets add with `+`.
+    """Every fact `verify` reads about a set of permutations of [n]: counts
+    from pairing halves, and the heuristic's figures from one sweep.
+    Censuses of disjoint sets add with `+`.
 
     tally: `_tally_chunk`'s key -> count
     singletons: k -> count of graphs that {k} dominates
@@ -331,48 +334,88 @@ def _tally_chunk(args) -> Counter:
     return counts
 
 
+def _census_counts(args) -> tuple[Counter, Counter, Counter]:
+    """`Census`' singletons, pairs and efficient over the permutations whose
+    first n // 2 values form a set in `_first_sets(n)[part]`, for (n, part),
+    with no leaf visited; pairs and efficient sets for n <= DETAIL_MAX_N
+    only.
+
+    Over a first-half set P, a subset s dominates a leaf exactly when it is
+    in both its head's and its tail's sieve masks, so it dominates
+    H[s]·T[s] of P's leaves, H[s] and T[s] counting the heads and the tails
+    whose masks hold s.  A pair u < v is adjacent exactly when v comes
+    first: the head decides when both lie in P, the tail when neither does,
+    and when they straddle P it is adjacent exactly when v is in P.  So
+    adjacent = Hi·T + H·Ti + [v in P, u not in P]·H·T, Hi and Ti counting
+    the halves whose masks hold s and that invert the pair.  A set
+    dominates efficiently when it also meets every closed neighborhood
+    once: each half's mask is anded with once[N[v]] over its own rows,
+    giving He and Te, and the count is He[s]·Te[s].  Each count is a column
+    of the halves' masks, transposed by `_memberships` into one int over the
+    halves, so no mask is walked bit by bit."""
+    n, part = args
+    order = _subset_tables(n)[2]
+    rank = {s: t for t, s in enumerate(order)}
+    full = (1 << n) - 1
+    detail = n <= DETAIL_MAX_N
+    once = _meet_once_table(n) if detail else ()
+    pair_list = list(combinations(range(1, n + 1), 2)) if detail else []
+    pair_bit = {(u, v): 1 << rank[1 << (u - 1) | 1 << (v - 1)] for u, v in pair_list}
+    # The sieve bits of the singletons, then of the pairs in pair_list order.
+    columns = [rank[1 << k] for k in range(n)]
+    columns += [bit.bit_length() - 1 for bit in pair_bit.values()]
+    singletons, pairs, efficient = Counter(), Counter(), Counter()
+
+    def counts(halves):
+        """H and Hi over `columns`, and the efficient masks, of one side."""
+        images, rows, *_, masks = zip(*halves)
+        inverted = [mask & sum(pair_bit[b, a] for a, b in combinations(image, 2) if a > b)
+                    for image, mask in zip(images, masks)] if detail else []
+        hits = [reduce(and_, map(once.__getitem__, filter(None, own)), mask)
+                for own, mask in zip(rows, masks)] if detail else []
+        return ([c.bit_count() for c in _memberships(masks, 1 << n, columns)],
+                [c.bit_count() for c in _memberships(inverted, 1 << n, columns)], hits)
+
+    for first in _first_sets(n)[part]:
+        h, hi, he = counts(_halves(n, first, 0))
+        t, ti, te = counts(_halves(n, full ^ first, first))
+        for k in range(n):
+            if h[k] * t[k]:
+                singletons[k + 1] += h[k] * t[k]
+        for j, (u, v) in enumerate(pair_list, start=n):
+            both = h[j] * t[j]
+            straddle = first >> (v - 1) & 1 and not first >> (u - 1) & 1
+            adjacent = hi[j] * t[j] + h[j] * ti[j] + (both if straddle else 0)
+            for key, count in ((0, both - adjacent), (1, adjacent)):
+                if count:
+                    pairs[u, v, key] += count
+        # Only the sets that some head and some tail hold efficiently.
+        common = reduce(or_, he, 0) & reduce(or_, te, 0)
+        bits = [k for k in range(common.bit_length()) if common >> k & 1]
+        for b, x, y in zip(bits, _memberships(he, 1 << n, bits),
+                           _memberships(te, 1 << n, bits)):
+            efficient[order[b]] += x.bit_count() * y.bit_count()
+    return singletons, pairs, efficient
+
+
 def _census_chunk(args) -> Census:
     """The census of the permutations `sweep(n, visit, part)` visits, for
-    (n, part).  A set dominates efficiently when it meets every closed
-    neighborhood once.  The heuristic runs on the sweep's image, with no
-    graph object, and its output is checked to dominate: the or of its
-    chosen rows must be full.
-    The heuristic's clique listing keeps one memo for the chunk and resumes
-    at the first position where a leaf differs from the one before.
+    (n, part).  The tally is `_tally_chunk`'s and the singleton, pair and
+    efficient counts are `_census_counts`', which visit no leaf.  Only the
+    hand heuristic needs one: it runs on the sweep's image, with no graph
+    object, and its output is checked to dominate: the or of its chosen
+    rows must be full.  Its clique listing keeps one memo for the chunk and
+    resumes at the first position where a leaf differs from the one before.
     `optimal` counts where it has minimum size, among the permutations no
     end-pattern quick rule matches."""
     n, part = args
-    _, card, order = _subset_tables(n)
-    detail = n <= DETAIL_MAX_N
-    once = _meet_once_table(n) if detail else ()
-    two_sets = sum(1 << t for t, k in enumerate(card) if k == 2)
+    card = _subset_tables(n)[1]
     full = (1 << n) - 1
-    tally, singletons, pairs, efficient = Counter(), Counter(), Counter(), Counter()
     excluded = optimal = 0
     memo = ([], [])  # the clique listing's state at the last leaf
 
     def visit(image, rows, connected, strong, singles, dom):
         nonlocal excluded, optimal
-        gamma = _gamma(dom, card)
-        tally[gamma, connected, singles, strong] += 1
-        if singles:
-            singletons.update(k for k, row in enumerate(rows, start=1) if row == full)
-        if detail:
-            two = dom & two_sets
-            while two:
-                bit = two & -two
-                two ^= bit
-                subset = order[bit.bit_length() - 1]
-                low = subset & -subset
-                u, v = low.bit_length(), (subset ^ low).bit_length()
-                pairs[u, v, rows[u - 1] >> (v - 1) & 1] += 1
-            hits = dom
-            for row in rows:
-                hits &= once[row]
-            while hits:
-                bit = hits & -hits
-                hits ^= bit
-                efficient[order[bit.bit_length() - 1]] += 1
         chosen = _heuristic_cover(_maximal_cliques(image, memo), n)
         cover = 0
         for v in chosen:
@@ -382,12 +425,13 @@ def _census_chunk(args) -> Census:
                                  f"[{','.join(map(str, image))}]")
         if _value_ends(image) or _position_ends(image):
             excluded += 1
-        elif len(chosen) == gamma:
+        elif len(chosen) == _gamma(dom, card):
             optimal += 1
 
     sweep(n, visit, part)
+    tally = _tally_chunk(args)
     quality = HeuristicQuality(sum(tally.values()), excluded, optimal)
-    return Census(tally, singletons, pairs, efficient, quality)
+    return Census(tally, *_census_counts(args), quality)
 
 
 def _worker_count(jobs: int) -> int:

@@ -18,12 +18,14 @@ from .domination import (
     domination_number_exact,
     singleton_dominators_by_position,
 )
+from .errors import PermdomError
 from .graph import (
+    PermutationGraph,
     build_graph,
+    component_mask,
     components,
     degree_bound_check,
     is_connected,
-    is_connected_search,
     mask_of,
 )
 from .perm import Permutation, reverse, strong_fixed_points
@@ -300,13 +302,33 @@ def check_heuristic(cache: TallyCache, max_n: int) -> CheckResult:
     )
 
 
+def _components_match(g: PermutationGraph, first: int) -> bool:
+    """Whether `components(g)` gives g's components: shifted back up and
+    concatenated, its blocks rebuild the source permutation, and their value
+    ranges are, in order, the components that breadth-first search finds
+    from each lowest vertex not yet reached.  `first` is the component of
+    vertex 1.  A block that is not a permutation fails the match."""
+    try:
+        blocks = components(g)
+    except PermdomError:
+        return False
+    found = [first]
+    rest = g.full_mask() & ~first
+    while rest:
+        found.append(component_mask(g, (rest & -rest).bit_length()))
+        rest &= ~found[-1]
+    rebuilt = [v + offset for offset, tau in blocks for v in tau.image]
+    return (tuple(rebuilt) == g.source.image
+            and [((1 << tau.n) - 1) << offset for offset, tau in blocks] == found)
+
+
 class _FirstMismatch(Exception):
     """Ends the invariant suite's walk at the first permutation that fails."""
 
 
 def check_invariant_suite(max_n: int) -> CheckResult:
-    """Degree/parity bound, prefix-connectivity equivalence, component
-    reconstruction, singleton-position characterization, the
+    """Degree/parity bound, prefix-connectivity equivalence, the components
+    against breadth-first search, singleton-position characterization, the
     strong-fixed-point reverse bijection, and the sweep engine's
     incremental facts against the graph built from scratch, exhaustively.
     It stops at the first permutation that fails."""
@@ -317,14 +339,13 @@ def check_invariant_suite(max_n: int) -> CheckResult:
         g = build_graph(p)
         if not degree_bound_check(g):
             bad.append(f"degree bound [{p}]")
-        if not (connected == is_connected(g) == is_connected_search(g)):
+        # The component of vertex 1 by breadth-first search.
+        first = component_mask(g, 1)
+        if not (connected == is_connected(g) == (first == g.full_mask())):
             bad.append(f"connectivity [{p}]")
         if tuple(rows) != g.closed_rows() or strong != len(strong_fixed_points(p)):
             bad.append(f"sweep facts [{p}]")
-        rebuilt = []
-        for offset, tau in components(g):
-            rebuilt.extend(v + offset for v in tau.image)
-        if tuple(rebuilt) != p.image:
+        if not _components_match(g, first):
             bad.append(f"components [{p}]")
         direct = count_singleton_dominators(g)
         if not (singles == direct == len(singleton_dominators_by_position(p))):

@@ -547,6 +547,38 @@ def test_a_failed_census_check_is_a_fail_line():
     assert {name for name, c in checks.items() if c["status"] == "fail"} == set(CENSUS_CHECKS)
 
 
+# Two wrong `components`: one never splits, and one always splits after the
+# first position, so a block that is no permutation raises NotABijection.
+COMPONENT_MUTANTS = {
+    "never-split": ("lambda g: [(0, g.source)]", "[1,2]"),
+    "split-after-first": ("lambda g: [(0, Permutation(g.source.image[:1])), "
+                          "(1, Permutation(tuple(v - 1 for v in g.source.image[1:])))]",
+                          "[1]"),
+}
+
+
+@pytest.mark.parametrize("mutant", COMPONENT_MUTANTS)
+def test_a_wrong_component_split_is_a_fail_line(mutant):
+    # The invariant suite compares the blocks with breadth-first search, so
+    # neither mutant passes, and an error building a block is a mismatch,
+    # not an exit 1.
+    wrong, leaf = COMPONENT_MUTANTS[mutant]
+    script = (
+        "import sys\n"
+        "from permdom import cli, verify\n"
+        "from permdom.perm import Permutation\n"
+        f"verify.components = {wrong}\n"
+        "sys.exit(cli.main(['verify', '--max-n', '7']))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=_child_env(), timeout=120)
+    err = done.stderr.decode()
+    assert done.returncode == 3 and "Traceback" not in err
+    assert "FAIL invariant_suite (n <= 7)" in err.splitlines()
+    checks = {c["name"]: c for c in json.loads(done.stdout)["checks"]}
+    assert checks["invariant_suite"]["first_mismatch"] == f"components {leaf}"
+    assert {name for name, c in checks.items() if c["status"] == "fail"} == {"invariant_suite"}
+
+
 def test_optimised_interpreter_prints_the_same_verify_bytes():
     # Under -O every `assert` is gone; the checks that guard verify's
     # figures must not be.
