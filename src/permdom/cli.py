@@ -250,8 +250,8 @@ def cmd_count(args) -> int:
         if args.c_table:
             table = _load_c_table(args.c_table)
         else:
-            cap = oracle.DEFAULT_CAP
-            if args.n - 1 > cap:  # fail before sweeping the orders below it
+            cap = oracle.HARD_CAP
+            if args.n - 1 > cap:  # fail before tallying the orders below it
                 raise OrderCapExceeded(
                     f"count d --n {args.n} needs the connected counts for "
                     f"n = {args.n - 1}, outside the enumeration cap [1, {cap}]; "
@@ -328,9 +328,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cap = oracle.HARD_CAP if args.allow_big else oracle.DEFAULT_CAP
     started = time.perf_counter()
-    report = oracle.full_tally(args.n, jobs=args.jobs, cap=cap)
+    report = oracle.full_tally(args.n, jobs=args.jobs)
     elapsed = time.perf_counter() - started
     _emit(_tally_payload(report), args.out)
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
@@ -440,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--jobs", type=_bounded_int(1), default=1)
     q.add_argument("--allow-big", action="store_true",
-                   help="raise the enumeration cap to n = 11 (slow)")
+                   help="accepted and ignored: every n up to the cap, 11, runs")
     add_out(q)
     p.set_defaults(func=cmd_oracle)
 

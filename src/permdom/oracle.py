@@ -21,20 +21,22 @@ which makes the sieve exhaustive ground truth; the pruned search in
 `domination`, which `analyze` needs beyond the oracle's orders, is its
 differential oracle.
 
-The halves are paired in two ways.  Counts need no leaf: they meet in the
-middle.  `_tally_chunk` groups each half's sieve masks by their split,
-strong and singleton facts and makes one call per pair of groups, so the
-and, the bit length and the count of every head-tail pair run in C; and
-`_census_counts` gets the singleton, pair and efficient dominators of a
-census from column counts of each side's masks, a product per subset.
-`sweep` visits every head-tail pair as a leaf, in lexicographic order, for
-what only a leaf gives.  Its visitors are the census's hand heuristic in
-`_census_chunk`, which runs with the quick rules on the leaf's image with
-no `Permutation` or graph object per leaf, and carries the clique listing's
-state from leaf to leaf, since consecutive leaves share all but their last
-few values; the listings `connected_gamma_permutations` and
-`iter_permutations`; and `verify`'s invariant suite, which rebuilds each
-graph to check the sweep.
+`_sides` is the one loop over the first-half sets: it builds each set's
+heads and tails once, by `_orderings` for a tally alone, or by `_halves`,
+which adds each half's image and rows.  Counts need no leaf: they meet in
+the middle.  `_tally` groups each half's sieve masks by their split, strong
+and singleton facts and makes one call per pair of groups, so the and, the
+bit length and the count of every head-tail pair run in C; and
+`_census_counts` gets the singleton, pair and efficient dominators from
+column counts of each side's masks, a product per subset.  `sweep` visits
+every head-tail pair as a leaf, in lexicographic order, for what only a
+leaf gives, and returns the sides it built, so a census pairs one list in
+all three ways.  Its visitors are the census's hand heuristic, which runs
+with the quick rules on the leaf's image with no graph object, and carries
+the clique listing's state from leaf to leaf, since consecutive leaves
+share all but their last few values; the listings
+`connected_gamma_permutations` and `iter_permutations`; and `verify`'s
+invariant suite, which rebuilds each graph to check the sweep.
 
 Parallel runs split a census and a tally alike, by strides of the
 first-half sets; the parts merge by addition, so any worker count produces
@@ -61,7 +63,6 @@ from .errors import OrderCapExceeded
 from .graph import build_graph  # noqa: F401
 from .perm import Permutation
 
-DEFAULT_CAP = 9
 HARD_CAP = 11
 # Tallies below this order run in process whatever the job count.  CLI wall
 # times of `oracle tally --n N`, --jobs 1 against a pool of 2 (2 cores,
@@ -85,7 +86,7 @@ class TallyReport(Record):
 
     @classmethod
     def from_counts(cls, n: int, counts: Counter) -> TallyReport:
-        """The histograms of a `_tally_chunk` counter over all of S_n."""
+        """The histograms of a `_tally` counter over all of S_n."""
         hist = {key: Counter() for key in ("g", "c", "d", "f1", "st")}
         for (gamma, connected, singles, strong), count in counts.items():
             hist["g"][gamma] += count
@@ -116,7 +117,7 @@ class Census(Record):
     from pairing halves, and the heuristic's figures from one sweep.
     Censuses of disjoint sets add with `+`.
 
-    tally: `_tally_chunk`'s key -> count
+    tally: `_tally`'s key -> count
     singletons: k -> count of graphs that {k} dominates
     pairs: (u, v, adjacent) -> count of graphs {u, v} dominates
     efficient: vertex subset bitmask -> count it dominates efficiently
@@ -228,13 +229,12 @@ def _orderings(n: int, values: int, prefix: int) -> list[tuple]:
 
 
 def _halves(n: int, values: int, prefix: int) -> list[tuple]:
-    """(image, rows, split, strong, singles, mask) for each ordering of the
-    value set `values` placed after the set `prefix`, in lexicographic
-    order: `_orderings`' items with their one-line notation, and with rows
-    as a list of n that holds N[v] = P ^ ((1 << v) - 1) at the ordering's
-    own values v, P being the set placed before v, and 0 elsewhere.  The
-    rows are rebuilt here: carried in `_orderings`' states, which the tally
-    builds too, they cost `oracle tally --n 8` about 4%."""
+    """(facts, mask, image, rows) for each ordering of the value set
+    `values` placed after the set `prefix`, in lexicographic order:
+    `_orderings`' items with their one-line notation, and rows, a list of n
+    holding N[v] = P ^ ((1 << v) - 1) at the ordering's own values v (P
+    placed before v) and 0 elsewhere.  Carried in `_orderings`' states,
+    which the tally builds too, rows would cost `oracle tally --n 8` 4%."""
     halves = []
     members = [v for v in range(1, n + 1) if values >> (v - 1) & 1]
     for image, (facts, mask) in zip(permutations(members), _orderings(n, values, prefix)):
@@ -243,11 +243,20 @@ def _halves(n: int, values: int, prefix: int) -> list[tuple]:
         for v in image:
             rows[v - 1] = placed ^ ((1 << v) - 1)
             placed |= 1 << (v - 1)
-        halves.append((image, rows, *facts, mask))
+        halves.append((facts, mask, image, rows))
     return halves
 
 
-def sweep(n: int, visit, part=slice(None)) -> None:
+def _sides(n: int, part, build):
+    """(first, heads, tails) for each set `first` in `_first_sets(n)[part]`,
+    in order: `build`'s orderings of the set (heads) and of the other values
+    placed after it (tails), `build` being `_orderings` or `_halves`."""
+    full = (1 << n) - 1
+    for first in _first_sets(n)[part]:
+        yield first, build(n, first, 0), build(n, full ^ first, first)
+
+
+def sweep(n: int, visit, part=slice(None)) -> list[tuple]:
     """Call `visit(image, rows, connected, strong, singles, dom)` once for
     every permutation of [n] whose first n // 2 values form a set in
     `_first_sets(n)[part]` (by default, every permutation), in
@@ -261,28 +270,23 @@ def sweep(n: int, visit, part=slice(None)) -> None:
     `_subset_tables(n)` dominates (vertex v is bit v-1 of a subset), and
     its highest set bit is a smallest dominating set.
 
-    A permutation is a head, an ordering of its first-half set P, followed
-    by a tail, an ordering of the other values placed after P; `_halves`
-    builds both by `_orderings`' rules.  Since N[v] depends only on the set
-    placed before v, a leaf's rows are its halves' rows together, its sieve
+    A leaf's rows are its head's and its tail's rows together, its sieve
     mask is the and of theirs, it is connected when neither half splits,
     and its strong and singleton counts are theirs added.  The heads of
-    every set are sorted together and each is followed by its set's tails
-    in order, so the leaves come in lexicographic order.
+    every set are sorted together, each followed by its set's tails.  The
+    sweep returns the `_sides` it paired, built by `_halves`.
     """
     if n:
         _check_cap(n, HARD_CAP)  # the sieve tables hold 2^n masks of 2^n bits
-    full = (1 << n) - 1
-    heads = []
-    for first in _first_sets(n)[part]:
-        tails = _halves(n, full ^ first, first)
-        heads += ((*head, tails) for head in _halves(n, first, 0))
-    heads.sort(key=itemgetter(0))
-    for image, rows, split, strong, singles, mask, tails in heads:
-        for tail, tail_rows, tail_split, tail_strong, tail_singles, tail_mask in tails:
+    sides = list(_sides(n, part, _halves))
+    heads = [(*head, tails) for _, side, tails in sides for head in side]
+    heads.sort(key=itemgetter(2))
+    for (split, strong, singles), mask, image, rows, tails in heads:
+        for (tail_split, tail_strong, tail_singles), tail_mask, tail, tail_rows in tails:
             visit(image + tail, list(map(or_, rows, tail_rows)),
                   not (split or tail_split), strong + tail_strong,
                   singles + tail_singles, mask & tail_mask)
+    return sides
 
 
 def iter_permutations(n: int) -> list[Permutation]:
@@ -293,32 +297,26 @@ def iter_permutations(n: int) -> list[Permutation]:
     return out
 
 
-def _by_facts(orderings) -> dict[tuple, list[int]]:
-    """The masks of `_orderings`' items, grouped by their facts."""
+def _by_facts(halves) -> dict[tuple, list[int]]:
+    """The masks of `_orderings`' or `_halves`' items, grouped by facts."""
     groups = defaultdict(list)
-    for facts, mask in orderings:
-        groups[facts].append(mask)
+    for half in halves:
+        groups[half[0]].append(half[1])
     return groups
 
 
-def _tally_chunk(args) -> Counter:
+def _tally(n: int, sides) -> Counter:
     """(gamma, connected, singleton dominators, strong fixed points) ->
-    number of permutations, over the ones whose first n // 2 values form a
-    set in `_first_sets(n)[part]`, for (n, part).  A meet in the middle
-    (Horowitz and Sahni, J. ACM 21, 1974): N[v] depends only on the set
-    placed before v, so for each set P of first values, each ordering of P
-    (a head) pairs with each ordering of the rest placed after P (a tail),
-    and each pair is a leaf.
+    number of permutations, over the head-tail pairs of `sides`: a meet in
+    the middle (Horowitz and Sahni, J. ACM 21, 1974), where each head pairs
+    with each tail of its set and each pair is a leaf.
 
     Heads and tails are grouped by their facts (split, strong, singles).
     A pair's facts follow from its groups', so one call per pair of groups
     counts the bit lengths of all their masks' ands, in C."""
-    n, part = args
-    full = (1 << n) - 1
     tops = defaultdict(Counter)  # (connected, singles, strong) -> bit lengths
-    for first in _first_sets(n)[part]:
-        heads = _by_facts(_orderings(n, first, 0))
-        tails = _by_facts(_orderings(n, full ^ first, first))
+    for _, heads, tails in sides:
+        heads, tails = _by_facts(heads), _by_facts(tails)
         for (split, strong, singles), head_masks in heads.items():
             for (tail_split, tail_strong, tail_singles), tail_masks in tails.items():
                 # A leaf's mask is the and of its halves'; the seam split,
@@ -334,11 +332,17 @@ def _tally_chunk(args) -> Counter:
     return counts
 
 
-def _census_counts(args) -> tuple[Counter, Counter, Counter]:
-    """`Census`' singletons, pairs and efficient over the permutations whose
-    first n // 2 values form a set in `_first_sets(n)[part]`, for (n, part),
-    with no leaf visited; pairs and efficient sets for n <= DETAIL_MAX_N
-    only.
+def _tally_chunk(args) -> Counter:
+    """`_tally` over the permutations whose first n // 2 values form a set
+    in `_first_sets(n)[part]`, for (n, part), by the cheaper `_orderings`."""
+    n, part = args
+    return _tally(n, _sides(n, part, _orderings))
+
+
+def _census_counts(n: int, sides) -> tuple[Counter, Counter, Counter]:
+    """`Census`' singletons, pairs and efficient over the head-tail pairs
+    of `sides`, `_sides`' items built by `_halves`, with no leaf visited;
+    pairs and efficient sets for n <= DETAIL_MAX_N only.
 
     Over a first-half set P, a subset s dominates a leaf exactly when it is
     in both its head's and its tail's sieve masks, so it dominates
@@ -353,10 +357,8 @@ def _census_counts(args) -> tuple[Counter, Counter, Counter]:
     giving He and Te, and the count is He[s]·Te[s].  Each count is a column
     of the halves' masks, transposed by `_memberships` into one int over the
     halves, so no mask is walked bit by bit."""
-    n, part = args
     order = _subset_tables(n)[2]
     rank = {s: t for t, s in enumerate(order)}
-    full = (1 << n) - 1
     detail = n <= DETAIL_MAX_N
     once = _meet_once_table(n) if detail else ()
     pair_list = list(combinations(range(1, n + 1), 2)) if detail else []
@@ -368,7 +370,7 @@ def _census_counts(args) -> tuple[Counter, Counter, Counter]:
 
     def counts(halves):
         """H and Hi over `columns`, and the efficient masks, of one side."""
-        images, rows, *_, masks = zip(*halves)
+        _, masks, images, rows = zip(*halves)
         inverted = [mask & sum(pair_bit[b, a] for a, b in combinations(image, 2) if a > b)
                     for image, mask in zip(images, masks)] if detail else []
         hits = [reduce(and_, map(once.__getitem__, filter(None, own)), mask)
@@ -376,9 +378,9 @@ def _census_counts(args) -> tuple[Counter, Counter, Counter]:
         return ([c.bit_count() for c in _memberships(masks, 1 << n, columns)],
                 [c.bit_count() for c in _memberships(inverted, 1 << n, columns)], hits)
 
-    for first in _first_sets(n)[part]:
-        h, hi, he = counts(_halves(n, first, 0))
-        t, ti, te = counts(_halves(n, full ^ first, first))
+    for first, heads, tails in sides:
+        h, hi, he = counts(heads)
+        t, ti, te = counts(tails)
         for k in range(n):
             if h[k] * t[k]:
                 singletons[k + 1] += h[k] * t[k]
@@ -400,9 +402,8 @@ def _census_counts(args) -> tuple[Counter, Counter, Counter]:
 
 def _census_chunk(args) -> Census:
     """The census of the permutations `sweep(n, visit, part)` visits, for
-    (n, part).  The tally is `_tally_chunk`'s and the singleton, pair and
-    efficient counts are `_census_counts`', which visit no leaf.  Only the
-    hand heuristic needs one: it runs on the sweep's image, with no graph
+    (n, part).  Its counts read the sides the sweep returns; only the hand
+    heuristic needs a leaf: it runs on the leaf's image, with no graph
     object, and its output is checked to dominate: the or of its chosen
     rows must be full.  Its clique listing keeps one memo for the chunk and
     resumes at the first position where a leaf differs from the one before.
@@ -428,10 +429,10 @@ def _census_chunk(args) -> Census:
         elif len(chosen) == _gamma(dom, card):
             optimal += 1
 
-    sweep(n, visit, part)
-    tally = _tally_chunk(args)
+    sides = sweep(n, visit, part)
+    tally = _tally(n, sides)
     quality = HeuristicQuality(sum(tally.values()), excluded, optimal)
-    return Census(tally, *_census_counts(args), quality)
+    return Census(tally, *_census_counts(n, sides), quality)
 
 
 def _worker_count(jobs: int) -> int:
@@ -451,9 +452,8 @@ def _process_pool(workers: int):
 
 def _merged(chunk, n: int, jobs: int, min_order: int):
     """`chunk` over all of S_n: `chunk((n, slice(None)))` in process for one
-    worker or below `min_order`, else `chunk` over each of 16 strides of the
-    first-half sets, merged by addition.  A slow worker leaves work to the
-    others."""
+    worker or below `min_order`, else over each of 16 strides of the
+    first-half sets, merged by addition.  A slow worker leaves work to others."""
     workers = _worker_count(jobs) if n >= min_order else 1
     if workers == 1:
         return chunk((n, slice(None)))
@@ -461,10 +461,10 @@ def _merged(chunk, n: int, jobs: int, min_order: int):
         return reduce(add, pool.map(chunk, [(n, slice(i, None, 16)) for i in range(16)]))
 
 
-def full_tally(n: int, jobs: int = 1, cap: int = DEFAULT_CAP) -> TallyReport:
+def full_tally(n: int, jobs: int = 1) -> TallyReport:
     """Tally gamma, connectivity, singleton dominators, and strong fixed
     points over all of S_n."""
-    _check_cap(n, min(cap, HARD_CAP))
+    _check_cap(n, HARD_CAP)
     return TallyReport.from_counts(n, _merged(_tally_chunk, n, jobs, POOL_MIN_ORDER))
 
 
@@ -490,12 +490,11 @@ def singleton_domination_tally(n: int) -> dict[int, int]:
 def connected_gamma_permutations(n: int, k: int):
     """All permutations of [n] with a connected graph of domination number
     k, in lexicographic order."""
-    _check_cap(n, DEFAULT_CAP)
-    card = _subset_tables(n)[1]
     found = []
 
     def visit(image, rows, connected, strong, singles, dom):
-        if connected and _gamma(dom, card) == k:
+        # The tables are read after the sweep has checked the order.
+        if connected and _gamma(dom, _subset_tables(n)[1]) == k:
             found.append(Permutation(image))
 
     sweep(n, visit)

@@ -15,10 +15,15 @@ def _as_dicts(counts) -> list[dict]:
     return [dict(counter) for counter in counts]
 
 
+def _counts(n: int, part=slice(None)):
+    """`_census_counts` over the sides a census builds for (n, part)."""
+    return oracle._census_counts(n, list(oracle._sides(n, part, oracle._halves)))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_counts_equal_the_leaf_by_leaf_counts(n):
     # n = 8 is above the detail order: singletons only, no pairs or sets.
-    got = _as_dicts(oracle._census_counts((n, slice(None))))
+    got = _as_dicts(_counts(n))
     assert got == _as_dicts(ref_census_counts(n))
     assert all(count > 0 for counter in got for count in counter.values())
     if n > oracle.DETAIL_MAX_N:
@@ -29,5 +34,5 @@ def test_counts_equal_the_leaf_by_leaf_counts(n):
 def test_counts_of_each_stride_equal_the_leaf_by_leaf_counts(n):
     for i in range(16):
         part = slice(i, None, 16)
-        assert (_as_dicts(oracle._census_counts((n, part)))
+        assert (_as_dicts(_counts(n, part))
                 == _as_dicts(ref_census_counts(n, part))), part

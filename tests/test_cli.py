@@ -283,7 +283,7 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1 and "NotABijection" in err
     code, _, err = run(capsys, "construct", "gamma", "--n", "5", "--k", "3")
     assert code == 1 and "InfeasibleGamma" in err
-    code, _, err = run(capsys, "oracle", "tally", "--n", "10")
+    code, _, err = run(capsys, "oracle", "tally", "--n", "12")
     assert code == 1 and "OrderCapExceeded" in err
     code, _, err = run(capsys, "construct", "gamma", "--n", "200", "--k", "3")
     assert code == 1 and "OrderTooLarge" in err and "n = 200" in err
@@ -299,14 +299,15 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
-def test_allow_big_raises_cap(capsys, monkeypatch):
-    from permdom import oracle
-
-    monkeypatch.setattr(oracle, "DEFAULT_CAP", 4)
-    code, _, err = run(capsys, "oracle", "tally", "--n", "5")
-    assert code == 1 and "OrderCapExceeded" in err
-    payload = run_json(capsys, "oracle", "tally", "--n", "5", "--allow-big")
-    assert payload["n"] == 5
+def test_allow_big_is_accepted_and_ignored(capsys):
+    # One cap for every tally: the flag changes neither the answer nor the
+    # first order refused.
+    with_flag = run(capsys, "oracle", "tally", "--n", "5", "--allow-big")[:2]
+    assert with_flag[0] == 0
+    assert with_flag == run(capsys, "oracle", "tally", "--n", "5")[:2]
+    for flag in ((), ("--allow-big",)):
+        code, out, err = run(capsys, "oracle", "tally", "--n", "12", *flag)
+        assert code == 1 and out == "" and "OrderCapExceeded" in err
 
 
 # The cases keep the ids they were recorded under, `argv<place in the list>`;
@@ -507,6 +508,28 @@ def test_a_failed_extension_check_is_a_fail_line():
         "inserting ")
 
 
+
+def test_a_third_comb_in_the_tally_is_a_fail_line(capsys, monkeypatch):
+    # Comb uniqueness reads c(6, 3) from the tally: a third connected graph
+    # with gamma = 3 fails the check.
+    from permdom import oracle
+
+    real = oracle.full_tally
+
+    def one_more_comb(n, jobs=1):
+        t = real(n, jobs)
+        return oracle.TallyReport(n=t.n, g=t.g, c={**t.c, n // 2: 3}, d=t.d,
+                                  f1=t.f1, st=t.st) if n == 6 else t
+
+    monkeypatch.setattr(oracle, "full_tally", one_more_comb)
+    code, out, err = run(capsys, "verify", "--max-n", "1")
+    assert code == 3
+    assert "FAIL comb_extremal_family (enumerated n in (6,), built up to 12)" in err.splitlines()
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["comb_extremal_family"]["first_mismatch"] == "uniqueness at n=6: found 3"
+    assert [name for name, c in checks.items() if c["status"] == "fail"] == [
+        "comb_extremal_family"]
+
 # Each check that reads the census, and the first leaf of the first order
 # it reads: pairs and efficient sets start at n = 2.
 CENSUS_CHECKS = {"recursions_vs_oracle": "[1]", "strong_fixed_point_identity": "[1]",
@@ -683,17 +706,18 @@ def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch, tmp_path):
 def test_count_d_above_the_cap_fails_before_any_sweep(capsys, monkeypatch):
     from permdom import oracle
 
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("swept S_n")
+    def no_tally(*args, **kwargs):
+        raise AssertionError("tallied S_n")
 
-    monkeypatch.setattr(oracle, "sweep", no_sweep)
-    code, out, err = run(capsys, "count", "d", "--n", "12", "--k", "3")
+    # count d reads its connected counts from the tallies, not the sweep.
+    monkeypatch.setattr(oracle, "_tally_chunk", no_tally)
+    code, out, err = run(capsys, "count", "d", "--n", "13", "--k", "3")
     assert code == 1 and out == ""
-    assert "OrderCapExceeded" in err and "n = 11" in err
-    monkeypatch.setattr(oracle, "DEFAULT_CAP", 3)
+    assert "OrderCapExceeded" in err and "n = 12" in err
+    monkeypatch.setattr(oracle, "HARD_CAP", 3)
     code, _, err = run(capsys, "count", "d", "--n", "5", "--k", "2")
     assert code == 1 and "OrderCapExceeded" in err
     monkeypatch.undo()
-    monkeypatch.setattr(oracle, "DEFAULT_CAP", 3)  # n - 1 at the cap still sweeps
+    monkeypatch.setattr(oracle, "HARD_CAP", 3)  # n - 1 at the cap still tallies
     assert run_json(capsys, "count", "d", "--n", "4", "--k", "2")["d"] == {
         "4,2": "7"}

@@ -69,12 +69,11 @@ def argv_of(*parts):
                        for p in parts)).map(join)
 
 
-# Each fails with OrderCapExceeded before any sweep; past the caps a sweep
-# takes from 17 s (n = 10) to hours.
+# Each fails with OrderCapExceeded before any tally; past the cap n = 11
+# the sieve tables alone hold 2^n masks of 2^n bits.
 PAST_A_CAP = st.one_of(
-    argv_of("oracle", "tally", "--n", size(10, 12), JOBS),
-    argv_of("oracle", "tally", "--n", "12", JOBS, "--allow-big"),
-    argv_of("count", "d", "--n", size(11, 12), "--k", size(1, 12), FORMAT),
+    argv_of("oracle", "tally", "--n", "12", JOBS, flags(("--allow-big",))),
+    argv_of("count", "d", "--n", size(13, 20), "--k", size(1, 12), FORMAT),
 )
 
 COMMANDS = st.one_of(

@@ -79,10 +79,9 @@ def test_tally_is_deterministic_across_worker_counts(monkeypatch):
 
 
 def test_order_cap():
-    with pytest.raises(OrderCapExceeded):
-        full_tally(10)
-    with pytest.raises(OrderCapExceeded):
-        full_tally(12, cap=11)
+    for n in (-1, 0, 12):
+        with pytest.raises(OrderCapExceeded):
+            full_tally(n)
     # A census runs the heuristic on every graph, which caps it at n = 8;
     # its views fail fast above that, before any sweep.
     for view in (census, singleton_domination_tally, heuristic_quality):
@@ -354,11 +353,10 @@ def test_orders_below_the_pool_threshold_sweep_in_process(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(oracle, "_process_pool",
                         lambda count: SerialPool(workers, count))
-    # The threshold may lie above the default cap.
     for n in range(1, oracle.POOL_MIN_ORDER):
-        full_tally(n, jobs=2, cap=oracle.HARD_CAP)
+        full_tally(n, jobs=2)
     assert workers == []
-    full_tally(oracle.POOL_MIN_ORDER, jobs=2, cap=oracle.HARD_CAP)
+    full_tally(oracle.POOL_MIN_ORDER, jobs=2)
     assert workers == [2]
 
 
@@ -376,3 +374,62 @@ def test_census_is_identical_for_every_chunking(monkeypatch):
     assert workers == [2, 3]
     assert all(other == single for other in split)
     assert single.tally == _tally_chunk((6, slice(None)))
+
+
+def test_a_census_builds_each_first_half_sets_halves_once(monkeypatch):
+    # One `_halves` per head side and per tail side of each set, in order,
+    # shared by the leaf pass, the tally and the counts; `_orderings` is
+    # reached only through `_halves`.
+    from permdom import oracle
+
+    real_halves, real_orderings = oracle._halves, oracle._orderings
+    built, open_halves = [], []
+
+    def halves(n, values, prefix):
+        built.append((values, prefix))
+        open_halves.append(values)
+        try:
+            return real_halves(n, values, prefix)
+        finally:
+            open_halves.pop()
+
+    def orderings(n, values, prefix):
+        assert open_halves, "_orderings outside _halves"
+        return real_orderings(n, values, prefix)
+
+    monkeypatch.setattr(oracle, "_halves", halves)
+    monkeypatch.setattr(oracle, "_orderings", orderings)
+    for n in (5, 6):
+        full = (1 << n) - 1
+        for part in (slice(None), slice(3, None, 16)):
+            built.clear()
+            chunk = _census_chunk((n, part))
+            assert built == [side for first in oracle._first_sets(n)[part]
+                             for side in ((first, 0), (full ^ first, first))]
+            assert chunk.heuristic.total == sum(chunk.tally.values())
+    built.clear()
+    census(6)
+    assert len(built) == 2 * len(oracle._first_sets(6))
+
+
+def test_census_names_the_first_failing_leaf_across_first_half_sets(monkeypatch):
+    # The heuristic picks no vertex on the leaves that begin 2,1 (first-half
+    # set {1,2}, the first set) or 1,5 (set {1,5}, a later one).  The leaf
+    # pass sorts every set's heads together, so 1,5,... comes first.
+    from permdom import oracle
+
+    real_cliques, real_cover = oracle._maximal_cliques, oracle._heuristic_cover
+    images = []
+
+    def cliques(image, memo):
+        images.append(image)
+        return real_cliques(image, memo)
+
+    def cover(cliques, n):
+        return [] if images[-1][:2] in {(2, 1), (1, 5)} else real_cover(cliques, n)
+
+    monkeypatch.setattr(oracle, "_maximal_cliques", cliques)
+    monkeypatch.setattr(oracle, "_heuristic_cover", cover)
+    with pytest.raises(AssertionError, match=r"dominate \[1,5,2,3,4\]$"):
+        census(5)
+    assert images[-1] == (1, 5, 2, 3, 4)

@@ -37,9 +37,9 @@ def test_each_head_and_tail_pair_is_its_leaf(n):
     paired = 0
     for first in _first_sets(n):
         tails = _halves(n, full ^ first, first)
-        for head, rows, split, strong, singles, mask in _halves(n, first, 0):
+        for (split, strong, singles), mask, head, rows in _halves(n, first, 0):
             assert sorted(head) == _values(first)
-            for tail, tail_rows, tail_split, tail_strong, tail_singles, tail_mask in tails:
+            for (tail_split, tail_strong, tail_singles), tail_mask, tail, tail_rows in tails:
                 image = head + tail
                 _, leaf_rows, connected, leaf_strong, leaf_singles, dom = scratch_leaf(image)
                 assert tuple(map(or_, rows, tail_rows)) == leaf_rows, image
@@ -65,7 +65,7 @@ def test_strides_of_the_first_half_sets_add_up_to_the_whole_tally(strides):
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_full_tally_past_the_sweeps_reach(n):
-    t = full_tally(n, cap=n)
+    t = full_tally(n)
     assert sum(t.g.values()) == factorial(n)
     assert sum(t.c.values()) + sum(t.d.values()) == factorial(n)
     assert t.g[1] == counting.g1_column(n)[n]
