@@ -6,9 +6,11 @@ N[v] depends only on the set placed before v, so a permutation splits into
 a head, an ordering of its first n // 2 values P, and a tail, an ordering
 of the other values placed after P, and each half's closed neighborhoods,
 splits, strong fixed points and singleton dominators follow from that half
-alone.  `_orderings` builds the halves of each first-half set a level at a
-time, in lexicographic order, updating those facts in O(1) per placed
-value instead of building every graph from scratch.
+alone.  `_orderings` builds the halves by a subset DP over value sets:
+the heads of a set extend the heads of each set one smaller, and the tails
+of a set extend the tails of each set one smaller, so every ordering of a
+smaller set is built once and shared by every first-half set that
+contains it, at O(1) per ordering and placed value, mapped in C.
 
 The halves also sieve the 2^n vertex subsets: each carries a 2^n-bit mask
 whose bit t is set while the subset order[t] meets every closed
@@ -21,22 +23,23 @@ which makes the sieve exhaustive ground truth; the pruned search in
 `domination`, which `analyze` needs beyond the oracle's orders, is its
 differential oracle.
 
-`_sides` is the one loop over the first-half sets: it builds each set's
-heads and tails once, by `_orderings` for a tally alone, or by `_halves`,
-which adds each half's image and rows.  Counts need no leaf: they meet in
-the middle.  `_tally` groups each half's sieve masks by their split, strong
-and singleton facts and makes one call per pair of groups, so the and, the
-bit length and the count of every head-tail pair run in C; and
-`_census_counts` gets the singleton, pair and efficient dominators from
-column counts of each side's masks, a product per subset.  `sweep` visits
-every head-tail pair as a leaf, in lexicographic order, for what only a
-leaf gives, and returns the sides it built, so a census pairs one list in
-all three ways.  Its visitors are the census's hand heuristic, which runs
-with the quick rules on the leaf's image with no graph object, and carries
-the clique listing's state from leaf to leaf, since consecutive leaves
-share all but their last few values; the listings
-`connected_gamma_permutations` and `iter_permutations`; and `verify`'s
-invariant suite, which rebuilds each graph to check the sweep.
+`_sides` is the one loop over the first-half sets: it yields each set's
+heads and tails once, as columns of keys and masks, and `_halves` adds
+each ordering's image and rows for the leaf pass and the census.  Counts
+need no leaf: they meet in the middle.  `_tally` groups each half's sieve
+masks by their key, which packs the split, strong and singleton facts,
+and makes one call per pair of groups, so the and, the bit length and the
+count of every head-tail pair run in C; and `_census_counts` gets the
+singleton, pair and efficient dominators from column counts of each
+side's masks, a product per subset.  `sweep` visits every head-tail pair
+as a leaf, in lexicographic order, for what only a leaf gives, and
+returns the sides it built, so a census pairs one list in all three ways.
+Its visitors are the census's hand heuristic, which runs with the quick
+rules on the leaf's image with no graph object, and carries the clique
+listing's state from leaf to leaf, since consecutive leaves share all but
+their last few values; the listings `connected_gamma_permutations` and
+`iter_permutations`; and `verify`'s invariant suite, which rebuilds each
+graph to check the sweep.
 
 Parallel runs split a census and a tally alike, by strides of the
 first-half sets; the parts merge by addition, so any worker count produces
@@ -66,15 +69,20 @@ from .perm import Permutation
 HARD_CAP = 11
 # Tallies below this order run in process whatever the job count.  CLI wall
 # times of `oracle tally --n N`, --jobs 1 against a pool of 2 (2 cores,
-# CPython 3.11.7, 6 alternating rounds, 4 at n = 11): n = 8, 0.11-0.14
-# against 0.13-0.21 s; 9, 0.15-0.23 against 0.19-0.32 s; 10, 0.64-1.04
-# against 0.45-0.76 s; 11, 6.2-6.9 against 3.4-4.2 s.  A
-# census pools from its cap, S_8, where its heuristic outweighs the pool.
+# CPython 3.11.7, 6 interleaved rounds, 8 at n = 11): n = 8, 0.08-0.12
+# against 0.11-0.18 s; 9, 0.12-0.21 against 0.14-0.21 s; 10, 0.53-0.95
+# against 0.35-0.53 s; 11, 5.4-6.5 against 2.9-3.4 s.  A census pools from
+# its cap, S_8, where its heuristic outweighs the pool.
 POOL_MIN_ORDER = 10
 # A census runs the hand heuristic, which caps its order.  It counts pair and
 # efficient dominators up to DETAIL_MAX_N only, the range `verify` reads.
 CENSUS_CAP = 8
 DETAIL_MAX_N = 7
+# A half's facts in one int, strong fixed points + _SINGLE * singleton
+# dominators + _SPLIT * splits, so that a leaf's key is the sum of its
+# halves' and the leaf is connected when it is below _SPLIT.  A field holds
+# at most HARD_CAP < 16.
+_SINGLE, _SPLIT = 16, 256
 
 
 class TallyReport(Record):
@@ -190,70 +198,89 @@ def _first_sets(n: int) -> list[int]:
     return [sum(1 << v for v in c) for c in combinations(range(n), n // 2)]
 
 
-def _orderings(n: int, values: int, prefix: int) -> list[tuple]:
-    """((split, strong, singles), mask) for each ordering of the value set
-    `values` placed after the set `prefix`, in lexicographic order.
+def _orderings(n: int, values: int, memo: dict, last: bool) -> tuple[list[int], list[int]]:
+    """(keys, masks) of the orderings of the value set `values`: heads,
+    placed first, or with `last`, tails, placed after all the other values.
 
-    When v is placed after the set P, N[v] is already final: smaller values
+    When v is placed after the set B, N[v] is already final: smaller values
     are neighbors exactly when they come later, larger ones exactly when
-    they came earlier, so N[v] = P ^ ((1 << v) - 1).  {v} dominates when
-    that row is full; the graph is disconnected when some proper prefix is
-    {1..k}; and position k holds a strong fixed point when v == k and the
-    prefix before it is {1..k-1}.  The mask starts with all 2^n subsets and
-    is cut to the ones that meet each row, mask &= meet[N[v]].
+    they came earlier, so N[v] = B ^ ((1 << v) - 1).  {v} dominates when
+    that row is full; with d = |B|, the graph splits after v when B | v is
+    {1..d+1} and d + 1 < n, and v is a strong fixed point when B is {1..d}
+    and v = d + 1.  The mask keeps the subsets that meet the row, mask &
+    meet[N[v]].
 
-    The orderings grow a level at a time: each state (placed set, split,
-    strong, singles, mask) of one level is extended by every value it may
-    take next, lowest first, so each level stays in lexicographic order and
-    no call is made per node."""
-    meet = _subset_tables(n)[0]
-    full = (1 << n) - 1
-    states = [(prefix, False, 0, 0, (1 << (1 << n)) - 1)]
-    for d in range(prefix.bit_count(), (prefix | values).bit_count()):
+    A subset DP (Held and Karp, J. SIAM 10, 1962) over the sets one
+    smaller, for each v in `values`, lowest first: a head of S is a head of
+    S - {v} followed by v, with B = S - {v}; a tail of R is v followed by a
+    tail of R - {v}, with B the complement of R whatever came before.  So
+    heads come in `permutations` order read right to left (the i-th is
+    permutations(members)[i] reversed), and tails in lexicographic order.
+    Row, key and mask depend on B and v alone, so each ordering costs one
+    addition and one and, mapped in C.  `memo` maps every smaller set of
+    the same side to its orderings, so each is built once and shared by
+    every set that contains it; `values` itself is not stored."""
+    if not values:
+        return [0], [(1 << (1 << n)) - 1]
+    meet, full = _subset_tables(n)[0], (1 << n) - 1
+    keys, masks = [], []
+    rest = values
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        smaller = values ^ bit
+        if smaller not in memo:
+            memo[smaller] = _orderings(n, smaller, memo, last)
+        smaller_keys, smaller_masks = memo[smaller]
+        before = full ^ values if last else smaller
+        row = before ^ ((bit << 1) - 1)
+        d = before.bit_count()
         low = (1 << d) - 1
-        # A placement that makes the placed set {1..d+1} splits, unless it is the last.
-        seam = low << 1 | 1 if d + 1 < n else -1
-        grown = []
-        for placed, split, strong, singles, mask in states:
-            choices = values & ~placed
-            while choices:
-                bit = choices & -choices
-                choices ^= bit
-                row = placed ^ ((bit << 1) - 1)
-                after = placed | bit
-                grown.append((after, split or after == seam,
-                              strong + (placed == low and bit == low + 1),
-                              singles + (row == full), mask & meet[row]))
-        states = grown
-    return [((split, strong, singles), mask) for _, split, strong, singles, mask in states]
+        key = (_SPLIT * (before | bit == low << 1 | 1 and d + 1 < n)
+               + _SINGLE * (row == full) + (before == low and bit == low + 1))
+        keys += map(key.__add__, smaller_keys) if key else smaller_keys
+        masks += map(meet[row].__and__, smaller_masks)
+    return keys, masks
 
 
-def _halves(n: int, values: int, prefix: int) -> list[tuple]:
-    """(facts, mask, image, rows) for each ordering of the value set
-    `values` placed after the set `prefix`, in lexicographic order:
-    `_orderings`' items with their one-line notation, and rows, a list of n
-    holding N[v] = P ^ ((1 << v) - 1) at the ordering's own values v (P
-    placed before v) and 0 elsewhere.  Carried in `_orderings`' states,
-    which the tally builds too, rows would cost `oracle tally --n 8` 4%."""
-    halves = []
-    members = [v for v in range(1, n + 1) if values >> (v - 1) & 1]
-    for image, (facts, mask) in zip(permutations(members), _orderings(n, values, prefix)):
+def _sides(n: int, part):
+    """(first, heads, tails) for each set `first` in `_first_sets(n)[part]`,
+    in order: the columns (keys, masks) of `_orderings`' heads of the set
+    and tails of the other values.  Both memos last as long as the loop, so
+    each ordering of a smaller set is built once per part, and the loop
+    streams its top-level sets one at a time."""
+    full = (1 << n) - 1
+    head_memo, tail_memo = {}, {}
+    for first in _first_sets(n)[part]:
+        yield (first, _orderings(n, first, head_memo, False),
+               _orderings(n, full ^ first, tail_memo, True))
+
+
+def _with_rows(n: int, side: tuple, images: list, prefix: int) -> tuple:
+    """The columns of `side` with two more: `images`, its orderings' one-line
+    notation, and their rows, each a list of n holding N[v] = P ^ ((1 << v)
+    - 1) at the ordering's own values v (P placed before v) and 0
+    elsewhere, the first value being placed after `prefix`."""
+    all_rows = []
+    for image in images:
         rows = [0] * n
         placed = prefix
         for v in image:
             rows[v - 1] = placed ^ ((1 << v) - 1)
             placed |= 1 << (v - 1)
-        halves.append((facts, mask, image, rows))
-    return halves
+        all_rows.append(rows)
+    return (*side, images, all_rows)
 
 
-def _sides(n: int, part, build):
-    """(first, heads, tails) for each set `first` in `_first_sets(n)[part]`,
-    in order: `build`'s orderings of the set (heads) and of the other values
-    placed after it (tails), `build` being `_orderings` or `_halves`."""
-    full = (1 << n) - 1
-    for first in _first_sets(n)[part]:
-        yield first, build(n, first, 0), build(n, full ^ first, first)
+def _halves(n: int, part):
+    """`_sides(n, part)` with two more columns on each side: the
+    orderings' one-line notation, which follows `_orderings`' orders, and
+    their rows.  The tally needs neither, and skips them."""
+    for first, heads, tails in _sides(n, part):
+        members = [v for v in range(1, n + 1) if first >> (v - 1) & 1]
+        others = [v for v in range(1, n + 1) if not first >> (v - 1) & 1]
+        yield (first, _with_rows(n, heads, [p[::-1] for p in permutations(members)], 0),
+               _with_rows(n, tails, list(permutations(others)), first))
 
 
 def sweep(n: int, visit, part=slice(None)) -> list[tuple]:
@@ -271,21 +298,24 @@ def sweep(n: int, visit, part=slice(None)) -> list[tuple]:
     its highest set bit is a smallest dominating set.
 
     A leaf's rows are its head's and its tail's rows together, its sieve
-    mask is the and of theirs, it is connected when neither half splits,
-    and its strong and singleton counts are theirs added.  The heads of
-    every set are sorted together, each followed by its set's tails.  The
-    sweep returns the `_sides` it paired, built by `_halves`.
+    mask is the and of theirs, and its key is the sum of theirs.  The heads
+    of every set are sorted together, each followed by its set's tails.
+    The sweep returns the sides it paired, (first, heads, tails) with the
+    columns of `_halves`.
     """
     if n:
         _check_cap(n, HARD_CAP)  # the sieve tables hold 2^n masks of 2^n bits
-    sides = list(_sides(n, part, _halves))
-    heads = [(*head, tails) for _, side, tails in sides for head in side]
+    sides = list(_halves(n, part))
+    heads = []
+    for _, side, tails in sides:
+        tails = list(zip(*tails))
+        heads += [(*head, tails) for head in zip(*side)]
     heads.sort(key=itemgetter(2))
-    for (split, strong, singles), mask, image, rows, tails in heads:
-        for (tail_split, tail_strong, tail_singles), tail_mask, tail, tail_rows in tails:
-            visit(image + tail, list(map(or_, rows, tail_rows)),
-                  not (split or tail_split), strong + tail_strong,
-                  singles + tail_singles, mask & tail_mask)
+    for key, mask, image, rows, tails in heads:
+        for tail_key, tail_mask, tail, tail_rows in tails:
+            facts = key + tail_key
+            visit(image + tail, list(map(or_, rows, tail_rows)), facts < _SPLIT,
+                  facts % _SINGLE, facts // _SINGLE % _SINGLE, mask & tail_mask)
     return sides
 
 
@@ -297,11 +327,11 @@ def iter_permutations(n: int) -> list[Permutation]:
     return out
 
 
-def _by_facts(halves) -> dict[tuple, list[int]]:
-    """The masks of `_orderings`' or `_halves`' items, grouped by facts."""
+def _by_key(side) -> dict[int, list[int]]:
+    """The masks of a side's columns, grouped by key."""
     groups = defaultdict(list)
-    for half in halves:
-        groups[half[0]].append(half[1])
+    for key, mask in zip(side[0], side[1]):
+        groups[key].append(mask)
     return groups
 
 
@@ -311,38 +341,37 @@ def _tally(n: int, sides) -> Counter:
     the middle (Horowitz and Sahni, J. ACM 21, 1974), where each head pairs
     with each tail of its set and each pair is a leaf.
 
-    Heads and tails are grouped by their facts (split, strong, singles).
-    A pair's facts follow from its groups', so one call per pair of groups
-    counts the bit lengths of all their masks' ands, in C."""
-    tops = defaultdict(Counter)  # (connected, singles, strong) -> bit lengths
+    Heads and tails are grouped by their keys.  A pair's key is the sum of
+    its groups', so one call per pair of groups counts the bit lengths of
+    all their masks' ands, in C."""
+    tops = defaultdict(Counter)  # a leaf's key -> bit lengths
     for _, heads, tails in sides:
-        heads, tails = _by_facts(heads), _by_facts(tails)
-        for (split, strong, singles), head_masks in heads.items():
-            for (tail_split, tail_strong, tail_singles), tail_masks in tails.items():
-                # A leaf's mask is the and of its halves'; the seam split,
-                # P = {1..h}, is the head's.
-                key = not (split or tail_split), singles + tail_singles, strong + tail_strong
-                tops[key].update(map(int.bit_length,
-                                     starmap(and_, product(head_masks, tail_masks))))
+        tails = _by_key(tails)
+        for key, head_masks in _by_key(heads).items():
+            for tail_key, tail_masks in tails.items():
+                # A leaf's mask is the and of its halves'.
+                tops[key + tail_key].update(map(int.bit_length,
+                                                starmap(and_, product(head_masks, tail_masks))))
     card = _subset_tables(n)[1]
     counts = Counter()
     for key, lengths in tops.items():
+        facts = key < _SPLIT, key // _SINGLE % _SINGLE, key % _SINGLE
         for top, count in lengths.items():
-            counts[(card[top - 1], *key)] += count
+            counts[(card[top - 1], *facts)] += count
     return counts
 
 
 def _tally_chunk(args) -> Counter:
     """`_tally` over the permutations whose first n // 2 values form a set
-    in `_first_sets(n)[part]`, for (n, part), by the cheaper `_orderings`."""
+    in `_first_sets(n)[part]`, for (n, part), on `_sides`' bare columns."""
     n, part = args
-    return _tally(n, _sides(n, part, _orderings))
+    return _tally(n, _sides(n, part))
 
 
 def _census_counts(n: int, sides) -> tuple[Counter, Counter, Counter]:
     """`Census`' singletons, pairs and efficient over the head-tail pairs
-    of `sides`, `_sides`' items built by `_halves`, with no leaf visited;
-    pairs and efficient sets for n <= DETAIL_MAX_N only.
+    of `sides`, `sweep`'s sides with the columns of `_halves`, with no
+    leaf visited; pairs and efficient sets for n <= DETAIL_MAX_N only.
 
     Over a first-half set P, a subset s dominates a leaf exactly when it is
     in both its head's and its tail's sieve masks, so it dominates
@@ -370,7 +399,7 @@ def _census_counts(n: int, sides) -> tuple[Counter, Counter, Counter]:
 
     def counts(halves):
         """H and Hi over `columns`, and the efficient masks, of one side."""
-        _, masks, images, rows = zip(*halves)
+        _, masks, images, rows = halves
         inverted = [mask & sum(pair_bit[b, a] for a, b in combinations(image, 2) if a > b)
                     for image, mask in zip(images, masks)] if detail else []
         hits = [reduce(and_, map(once.__getitem__, filter(None, own)), mask)

@@ -9,7 +9,7 @@ because n = 8 enumeration is the expensive part.
 """
 import pytest
 
-from permdom import verify
+from permdom import oracle, verify
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +66,22 @@ def test_08_disconnected_formula(run):
 
 def test_09_comb_extremal_family(run):
     report(9, "comb_extremal_family", run)
+
+
+def test_comb_uniqueness_reads_the_cached_census_tallies(monkeypatch):
+    # The census tallies S_6 and S_8 before the comb check runs; only an
+    # order the run does not reach is tallied afresh.
+    real, tallied = oracle.full_tally, []
+
+    def full_tally(n, jobs=1):
+        tallied.append(n)
+        return real(n, jobs)
+
+    monkeypatch.setattr(oracle, "full_tally", full_tally)
+    assert verify.run_all(max_n=8).exit_code == 0
+    assert tallied == []
+    assert verify.run_all(max_n=4).exit_code == 0
+    assert tallied == [6]
 
 
 def test_10_extension_preserves_gamma(run):

@@ -17,7 +17,7 @@ def _as_dicts(counts) -> list[dict]:
 
 def _counts(n: int, part=slice(None)):
     """`_census_counts` over the sides a census builds for (n, part)."""
-    return oracle._census_counts(n, list(oracle._sides(n, part, oracle._halves)))
+    return oracle._census_counts(n, list(oracle._halves(n, part)))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -270,7 +270,7 @@ def test_sweep_above_the_hard_cap_fails_before_building_tables():
 
 
 def _strides(count: int) -> list[slice]:
-    """`count` strides of the first-half sets, as a pool takes 16."""
+    """`count` strides of the first-half sets."""
     return [slice(i, None, count) for i in range(count)]
 
 
@@ -377,39 +377,34 @@ def test_census_is_identical_for_every_chunking(monkeypatch):
 
 
 def test_a_census_builds_each_first_half_sets_halves_once(monkeypatch):
-    # One `_halves` per head side and per tail side of each set, in order,
-    # shared by the leaf pass, the tally and the counts; `_orderings` is
-    # reached only through `_halves`.
+    # `_orderings` builds each set's heads and tails once per chunk, shared
+    # by the leaf pass, the tally and the counts: the top-level sets in the
+    # first-half sets' order, and below them each smaller set once, from
+    # the memo.
     from permdom import oracle
 
-    real_halves, real_orderings = oracle._halves, oracle._orderings
-    built, open_halves = [], []
+    real, built = oracle._orderings, []
 
-    def halves(n, values, prefix):
-        built.append((values, prefix))
-        open_halves.append(values)
-        try:
-            return real_halves(n, values, prefix)
-        finally:
-            open_halves.pop()
+    def orderings(n, values, memo, last):
+        built.append((last, values))
+        return real(n, values, memo, last)
 
-    def orderings(n, values, prefix):
-        assert open_halves, "_orderings outside _halves"
-        return real_orderings(n, values, prefix)
-
-    monkeypatch.setattr(oracle, "_halves", halves)
     monkeypatch.setattr(oracle, "_orderings", orderings)
     for n in (5, 6):
         full = (1 << n) - 1
+        top = {False: n // 2, True: n - n // 2}
         for part in (slice(None), slice(3, None, 16)):
             built.clear()
             chunk = _census_chunk((n, part))
-            assert built == [side for first in oracle._first_sets(n)[part]
-                             for side in ((first, 0), (full ^ first, first))]
+            assert [(last, values) for last, values in built
+                    if values.bit_count() == top[last]] == [
+                side for first in oracle._first_sets(n)[part]
+                for side in ((False, first), (True, full ^ first))]
+            assert len(set(built)) == len(built)
             assert chunk.heuristic.total == sum(chunk.tally.values())
     built.clear()
     census(6)
-    assert len(built) == 2 * len(oracle._first_sets(6))
+    assert sum(values.bit_count() == 3 for _, values in built) == 2 * len(oracle._first_sets(6))
 
 
 def test_census_names_the_first_failing_leaf_across_first_half_sets(monkeypatch):
