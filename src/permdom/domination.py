@@ -132,9 +132,46 @@ def all_minimum_dominating_sets(g: PermutationGraph) -> list[frozenset[int]]:
 
 
 def count_minimum_dominating_sets(g: PermutationGraph) -> int:
-    """Number of dominating sets of minimum size, counted as index tuples
-    without building a vertex set for each."""
-    return len(_minimum_covers(g.closed_rows(), g.full_mask()))
+    """Number of dominating sets of minimum size, counted by the walk of
+    `_minimum_covers` without listing them."""
+    rows = g.closed_rows()
+    full = g.full_mask()
+    if full in rows:
+        return rows.count(full)
+    memo: dict[tuple[int, int, int], int] = {}
+    for size in range(2, len(rows) + 1):
+        count = _count_covers(rows, full, 0, size, memo)
+        if count:
+            return count
+    raise AssertionError("every graph is dominated by its full vertex set")
+
+
+def _count_covers(rows, missing: int, start: int, left: int, memo) -> int:
+    """The number of sets of `left` >= 2 rows from index `start` on whose or
+    covers `missing`, where no `left - 1` of them do, by the walk and cuts
+    of `_extend_covers`.  A node's count depends only on (start, missing,
+    left), so it is memoised on that key: a comb's tooth choices and a
+    direct sum's blocks reach each key by many prefixes."""
+    key = (start, missing, left)
+    count = memo.get(key)
+    if count is not None:
+        return count
+    n = len(rows)
+    count = 0
+    if left == 2 or _picks_needed(rows, missing, -1 << start) <= left:
+        stop = min(rows[(missing & -missing).bit_length() - 1].bit_length(),
+                   n + 1 - left)
+        for i in range(start, stop):
+            rest = missing & ~rows[i]
+            if left > 2:
+                count += _count_covers(rows, rest, i + 1, left - 1, memo)
+                continue
+            last = min(rows[(rest & -rest).bit_length() - 1].bit_length(), n)
+            for j in range(i + 1, last):
+                if rows[j] & rest == rest:
+                    count += 1
+    memo[key] = count
+    return count
 
 
 def count_singleton_dominators(g: PermutationGraph) -> int:

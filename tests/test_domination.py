@@ -142,6 +142,9 @@ def test_witness_and_minimum_sets_match_plain_enumeration(n):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(9, 16).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))))
+# The count's walk reaches one (missing, picks left) from two starts, with
+# 2 and 1 covers below them: a memo key without the start miscounts.
+@example([4, 3, 7, 1, 5, 9, 2, 8, 6, 10])
 def test_witness_and_minimum_sets_match_plain_enumeration_beyond_7(image):
     assert_matches_plain_enumeration(build_graph(Permutation(tuple(image))))
 
@@ -152,10 +155,32 @@ def test_minimum_cover_matches_plain_enumeration_on_the_s8_sweep():
 
     full = (1 << 8) - 1
     card = _subset_tables(8)[1]
-    for _, rows, *_, dom in leaves(8):
+    size = [sum(1 << t for t, c in enumerate(card) if c == k) for k in range(9)]
+    for image, rows, *_, dom in leaves(8):
         (cover,) = _minimum_covers(rows, full, 1)
         assert cover == first_cover_by_plain_enumeration(rows, full)
-        assert _gamma(dom, card) == len(cover)
+        gamma = _gamma(dom, card)
+        assert gamma == len(cover)
+        # The sieve's dominating sets of size gamma against the count.
+        assert count_minimum_dominating_sets(build_graph(Permutation(image))) == (
+            (dom & size[gamma]).bit_count())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 6).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))), min_size=1, max_size=8))
+@example([[3, 2, 1]] * 21)  # 3^21 minimum sets
+def test_count_of_a_direct_sum_is_the_product_of_its_blocks_listings(blocks):
+    # Each block shifted above the ones before it: the direct sum's graph is
+    # the disjoint union of the blocks' graphs.
+    image: list[int] = []
+    product_of_listings = 1
+    for block in blocks:
+        image += [len(image) + v for v in block]
+        product_of_listings *= len(all_minimum_dominating_sets(
+            build_graph(Permutation(tuple(block)))))
+    g = build_graph(Permutation(tuple(image)))
+    assert count_minimum_dominating_sets(g) == product_of_listings
 
 
 @pytest.mark.parametrize("build", [comb_sigma, comb_tau])
@@ -167,6 +192,13 @@ def test_comb_minimum_sets_pick_one_end_of_every_tooth(build, n):
     assert count_minimum_dominating_sets(g) == len(sets) == 2 ** (n // 2)
     pairs = is_comb(g).matching.items()
     assert set(sets) == {frozenset(pick) for pick in product(*pairs)}
+
+
+@pytest.mark.parametrize("build", [comb_sigma, comb_tau])
+@pytest.mark.parametrize("n", range(26, 65, 2))
+def test_comb_count_is_two_to_the_half_order_past_the_listing(build, n):
+    # The listing of 2^(n/2) sets stops at order 24 above; the count does not.
+    assert count_minimum_dominating_sets(build_graph(build(n))) == 2 ** (n // 2)
 
 
 def test_all_minimum_dominating_sets():
