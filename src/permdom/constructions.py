@@ -56,17 +56,13 @@ def comb_sigma(n: int) -> Permutation:
 
 
 def comb_tau(n: int) -> Permutation:
-    """The comb permutation whose leaves are the values = 2 or 3 (mod 4).
+    """The comb permutation whose leaves are the values = 2 or 3 (mod 4):
+    the inverse of `comb_sigma(n)`.
 
     >>> str(comb_tau(6))
     '2,5,1,3,6,4'
     """
-    _check_comb_order(n)
-    if n % 4 == 0:
-        special = {3: 1, n - 2: n}
-    else:
-        special = {3: 1, n: n - 2}
-    return _piecewise(n, special, {1: 1, 2: 3, 3: -3, 0: -1})
+    return Permutation(comb_sigma(n)._positions)
 
 
 def is_comb(g: PermutationGraph) -> CombWitness | None:

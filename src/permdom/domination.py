@@ -1,22 +1,28 @@
 """Dominating sets of permutation graphs.
 
 The exact solver searches the domination matrix (adjacency plus identity)
-for a choice of rows whose bitwise or has no zeros.  Search runs by
-increasing cardinality and, within a cardinality, in lexicographic order of
-the sorted vertex list, so the returned witness is canonical and the minimum
-dominating sets come out in lexicographic order.
+for a choice of rows whose bitwise or has no zeros.  One memoised walk per
+graph answers it.  The walk counts, size by size from 1, the sets of rows
+that cover every vertex, and stops at the first size with a nonzero count:
+that size is the domination number, and that count the number of minimum
+dominating sets.  The minimum sets themselves are read back off the same
+walk's memo, in lexicographic order of their sorted vertex lists, so the
+first is the canonical witness.
 
-Within a cardinality the search is a depth-first walk over increasing index
-tuples, pruned by two rules.  Picks only increase, so the vertices the picks
-so far leave undominated can only be dominated by later picks, all at or
-after the next index.  Hence:
+Within a size the walk runs over increasing index tuples, pruned by two
+rules.  Picks only increase, so the vertices the picks so far leave
+undominated can only be dominated by later picks, all at or after the next
+index.  Hence:
 - the next pick is at most the highest index in N[u], for the lowest
   undominated vertex u;
 - undominated vertices whose closed neighborhoods share no index at or after
   the next one each need a pick of their own, so a prefix with fewer picks
   left than such vertices is abandoned.
 A branch either rule cuts holds no dominating set, so pruning drops no set
-and reorders none.
+and reorders none.  A node's count depends only on (next index, undominated
+vertices, picks left), which is the memo's key: the tooth choices of a comb
+and the blocks of a direct sum reach one key by many prefixes, and the memo
+walks below it once.
 """
 from __future__ import annotations
 
@@ -41,7 +47,8 @@ class DominationResult(Record):
 
 
 def domination_number_exact(g: PermutationGraph) -> DominationResult:
-    """Minimum dominating set by cardinality-ascending lexicographic search.
+    """Minimum dominating set: the first of the minimum sets in
+    lexicographic order.
 
     >>> from .perm import parse_permutation
     >>> from .graph import build_graph
@@ -49,7 +56,7 @@ def domination_number_exact(g: PermutationGraph) -> DominationResult:
     >>> r.gamma, sorted(r.witness)
     (2, [1, 2])
     """
-    (combo,) = _minimum_covers(g.closed_rows(), g.full_mask(), 1)
+    combo = next(_minimum_covers(g))
     return DominationResult(
         gamma=len(combo),
         witness=frozenset(i + 1 for i in combo),
@@ -57,101 +64,59 @@ def domination_number_exact(g: PermutationGraph) -> DominationResult:
     )
 
 
-def _minimum_covers(rows: tuple[int, ...], full: int,
-                    most: int | None = None) -> list[tuple[int, ...]]:
-    """The first `most` (default: all) smallest sets of rows whose or is
-    `full`, as sorted 0-based index tuples in lexicographic order.
-
-    Size 1 is a membership test.  Each larger size is one depth-first walk
-    over increasing tuples, cut by the two rules of the module docstring.
-    They cut only branches that hold no cover, so the walk finds the covers
-    in `itertools.combinations` order.
-    """
-    if full in rows:
-        return [(i,) for i, row in enumerate(rows) if row == full][:most]
-    found: list[tuple[int, ...]] = []
-    for size in range(2, len(rows) + 1):
-        _extend_covers(rows, full, (), 0, 0, size, found, most)
-        if found:
-            return found
-    raise AssertionError("every graph is dominated by its full vertex set")
-
-
-def _extend_covers(rows, full, picks, start, cover, left, found, most) -> bool:
-    """Append to `found`, in lexicographic order, every cover that extends
-    `picks` (whose or is `cover`) by `left` >= 2 picks from index `start`
-    on; True once `found` holds `most` covers.  No prefix is a cover itself
-    (a smaller cover would have ended the search at its own size), so some
-    index is always missing.  The last pick is scanned in place rather than
-    by a further call, since most calls end there; the bound on picks needed
-    is skipped for the last two picks, where it costs more than it cuts.
-    """
-    n = len(rows)
-    missing = full ^ cover
-    if left > 2 and _picks_needed(rows, missing, -1 << start) > left:
-        return False
-    stop = min(rows[(missing & -missing).bit_length() - 1].bit_length(),
-               n + 1 - left)
-    for i in range(start, stop):
-        now = cover | rows[i]
-        if left > 2:
-            if _extend_covers(rows, full, picks + (i,), i + 1, now, left - 1,
-                              found, most):
-                return True
-            continue
-        missing = full ^ now
-        last = min(rows[(missing & -missing).bit_length() - 1].bit_length(), n)
-        for j in range(i + 1, last):
-            if now | rows[j] == full:
-                found.append(picks + (i, j))
-                if len(found) == most:
-                    return True
-    return False
-
-
-def _picks_needed(rows, missing: int, allowed: int) -> int:
-    """A lower bound on the picks from `allowed` that cover `missing`: the
-    size of a set of missing indices, chosen greedily from the lowest, whose
-    rows meet `allowed` in pairwise disjoint masks."""
-    used = 0
-    need = 0
-    while missing:
-        bit = missing & -missing
-        missing ^= bit
-        reach = rows[bit.bit_length() - 1] & allowed
-        if not reach & used:
-            used |= reach
-            need += 1
-    return need
-
-
 def all_minimum_dominating_sets(g: PermutationGraph) -> list[frozenset[int]]:
     """Every dominating set of minimum size, in lexicographic order."""
-    return [frozenset(i + 1 for i in combo)
-            for combo in _minimum_covers(g.closed_rows(), g.full_mask())]
+    return [frozenset(i + 1 for i in combo) for combo in _minimum_covers(g)]
 
 
 def count_minimum_dominating_sets(g: PermutationGraph) -> int:
-    """Number of dominating sets of minimum size, counted by the walk of
-    `_minimum_covers` without listing them."""
+    """Number of dominating sets of minimum size, read off the walk's memo
+    without listing them."""
+    size, memo = _walk_of(g)
+    return memo[0, g.full_mask(), size]
+
+
+def _minimum_covers(g: PermutationGraph):
+    """The minimum covers of g as sorted 0-based index tuples, in
+    lexicographic order, from the one walk of `_walk_of`."""
     rows = g.closed_rows()
-    full = g.full_mask()
+    size, memo = _walk_of(g)
+    return _covers(rows, g.full_mask(), 0, size, memo)
+
+
+def _walk_of(g: PermutationGraph) -> tuple[int, dict]:
+    """`_count_walk` of g, run once and kept in g's `_walk` slot."""
+    try:
+        return g._walk
+    except AttributeError:
+        walk = _count_walk(g.closed_rows(), g.full_mask())
+        object.__setattr__(g, "_walk", walk)
+        return walk
+
+
+def _count_walk(rows: tuple[int, ...], full: int) -> tuple[int, dict]:
+    """The least size of a set of rows whose or is `full`, and the memo of
+    `_count_covers` that counts those sets at key (0, full, size).
+
+    Size 1 is a membership test.  Each larger size is one walk from the
+    root, and all share one memo: below the least size every count is 0,
+    so no prefix at a larger size is a cover by itself.
+    """
     if full in rows:
-        return rows.count(full)
+        return 1, {(0, full, 1): rows.count(full)}
     memo: dict[tuple[int, int, int], int] = {}
     for size in range(2, len(rows) + 1):
-        count = _count_covers(rows, full, 0, size, memo)
-        if count:
-            return count
+        if _count_covers(rows, full, 0, size, memo):
+            return size, memo
     raise AssertionError("every graph is dominated by its full vertex set")
 
 
 def _count_covers(rows, missing: int, start: int, left: int, memo) -> int:
     """The number of sets of `left` >= 2 rows from index `start` on whose or
-    covers `missing`, where no `left - 1` of them do, by the walk and cuts
-    of `_extend_covers`.  A node's count depends only on (start, missing,
-    left), so it is memoised on that key: a comb's tooth choices and a
-    direct sum's blocks reach each key by many prefixes."""
+    covers `missing`, where no `left - 1` of them do, memoised on (start,
+    missing, left).  The last pick is scanned in place rather than by a
+    further call, since most calls end there; the bound on picks needed is
+    skipped for the last two picks, where it costs more than it cuts."""
     key = (start, missing, left)
     count = memo.get(key)
     if count is not None:
@@ -172,6 +137,41 @@ def _count_covers(rows, missing: int, start: int, left: int, memo) -> int:
                     count += 1
     memo[key] = count
     return count
+
+
+def _covers(rows, missing: int, start: int, left: int, memo):
+    """The covers that `memo[start, missing, left]` counts, in lexicographic
+    order: the walk of `_count_covers` again, entering a branch of three or
+    more picks only where its memoised count is nonzero, so it meets no dead
+    end above the last two picks.  The last pick is a plain scan."""
+    if left == 1:
+        for j in range(start, len(rows)):
+            if rows[j] & missing == missing:
+                yield (j,)
+        return
+    stop = min(rows[(missing & -missing).bit_length() - 1].bit_length(),
+               len(rows) + 1 - left)
+    for i in range(start, stop):
+        rest = missing & ~rows[i]
+        if left == 2 or memo[i + 1, rest, left - 1]:
+            for tail in _covers(rows, rest, i + 1, left - 1, memo):
+                yield (i, *tail)
+
+
+def _picks_needed(rows, missing: int, allowed: int) -> int:
+    """A lower bound on the picks from `allowed` that cover `missing`: the
+    size of a set of missing indices, chosen greedily from the lowest, whose
+    rows meet `allowed` in pairwise disjoint masks."""
+    used = 0
+    need = 0
+    while missing:
+        bit = missing & -missing
+        missing ^= bit
+        reach = rows[bit.bit_length() - 1] & allowed
+        if not reach & used:
+            used |= reach
+            need += 1
+    return need
 
 
 def count_singleton_dominators(g: PermutationGraph) -> int:

@@ -41,8 +41,9 @@ def vertices_of(mask: int) -> frozenset[int]:
 
 
 class PermutationGraph(Record):
-    # rows[v-1] = open neighborhood of v as a bitmask
-    __slots__ = ("n", "rows", "source")
+    # rows[v-1] = open neighborhood of v as a bitmask; _walk holds the exact
+    # solver's (gamma, memo), set by `domination` on first use.
+    __slots__ = ("n", "rows", "source", "_walk")
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check(v)

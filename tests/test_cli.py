@@ -3,15 +3,19 @@ import os
 import re
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import golden
 import pytest
+from domination_reference import minimum_sets_by_blocks
 from test_cli_fuzz import NEAR_IDENTITY_64
 
 from permdom import cli, constructions
 from permdom.cli import main
 from permdom.constructions import comb_sigma
+from permdom.graph import build_graph
+from permdom.perm import parse_permutation
 
 
 def run(capsys, *argv):
@@ -39,6 +43,17 @@ def test_analyze_report(capsys):
         (1, 3), (2, 3), (2, 4)]
     # values 1 and 4 occupy adjacent positions, so the end-value rule fires
     assert payload["quick_rule_fired"] == "quick_rule_1n"
+
+
+def test_analyze_near_identity_64_matches_the_block_reference(capsys):
+    # 27 components, with 221,184 minimum sets between them: the walk's memo
+    # counts below each block boundary once.
+    payload = run_json(capsys, "analyze", NEAR_IDENTITY_64)
+    blocks = minimum_sets_by_blocks(build_graph(parse_permutation(NEAR_IDENTITY_64)))
+    assert len(blocks) == 27
+    assert payload["gamma"] == sum(len(sets[0]) for sets in blocks) == 34
+    assert payload["witness"] == sorted(set().union(*(sets[0] for sets in blocks)))
+    assert payload["all_minimum_sets_count"] == prod(map(len, blocks)) == 221184
 
 
 def test_analyze_no_quick_rule(capsys):
@@ -474,7 +489,7 @@ def test_help_to_a_full_stdout_is_a_typed_error(argv):
 
 
 def test_disconnected_extend_input_fails_before_any_search():
-    # 1 is isolated; the exact search on this input runs for minutes.
+    # 1 is isolated, so the input is refused before the exact search.
     done = subprocess.run(
         [sys.executable, "-m", "permdom.cli", "construct", "extend",
          "--perm", NEAR_IDENTITY_64],

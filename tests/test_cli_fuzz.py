@@ -5,8 +5,9 @@ an exit-0 call prints JSON or two-field CSV.
 Calls run in process, so an uncaught exception fails the test where a
 subprocess would print a traceback.  Sizes stay small enough that every
 well-formed request answers in milliseconds; the inputs that are accepted
-but exponential (skew sums of pairs, `comb_sigma(64)`) are left out.  Sizes
-just past an enumeration cap are drawn too: they must fail at once.
+but exponential (skew sums of pairs, whose maximal cliques the heuristic
+lists) are left out.  Sizes just past an enumeration cap are drawn too:
+they must fail at once.
 """
 import csv
 import io
@@ -23,8 +24,9 @@ from permdom.sequences import MAX_LIFT_OFFSET
 CALL_SECONDS = 5.0  # each well-formed call here takes well under 0.5 s
 OUT_DIRECTORY = "."  # an `--out` that names a directory can never be written
 
-# Random adjacent swaps of the identity at order 64: gamma 34 and 221,184
-# minimum dominating sets, out of the exact search's reach.  1 is isolated.
+# Random adjacent swaps of the identity at order 64: 27 components, gamma 34
+# and 221,184 minimum dominating sets, which the exact walk's memo counts in
+# milliseconds.  1 is isolated.
 NEAR_IDENTITY_64 = (
     "1,4,2,3,7,5,6,9,8,12,11,10,13,15,14,16,17,19,23,18,20,22,24,21,26,25,"
     "28,27,31,32,29,33,30,34,35,37,40,38,36,41,39,43,46,42,44,48,45,47,49,50,"
@@ -138,7 +140,8 @@ def assert_parses(out: str) -> None:
 @example(["seq", "lift", "--r", str(MAX_LIFT_OFFSET)]).via("the largest offset")
 @example(["analyze", "1,2", "--out", OUT_DIRECTORY]).via("--out a directory")
 @example(["construct", "extend", "--perm", NEAR_IDENTITY_64]).via(
-    "a disconnected input the exact search cannot finish")
+    "a disconnected input, refused before any search")
+@example(["analyze", NEAR_IDENTITY_64]).via("34 picks over 27 components")
 @example(["analyze", "1," + "9" * 4301]).via("a token past int()'s digit limit")
 @example(["construct", "extend", "--perm", "9" * 4301 + ",1"]).via(
     "a token past int()'s digit limit")

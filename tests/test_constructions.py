@@ -33,6 +33,20 @@ def test_comb_tau_transcription():
     assert comb_tau(8).image == (2, 5, 1, 3, 6, 8, 4, 7)
 
 
+def comb_tau_by_table(n):
+    """tau as the paper tabulates it: at position i, i plus 1, 3, -3 or -1
+    as i = 1, 2, 3 or 0 (mod 4), but for two special positions."""
+    special = {3: 1, n - 2: n} if n % 4 == 0 else {3: 1, n: n - 2}
+    rule = {1: 1, 2: 3, 3: -3, 0: -1}
+    return tuple(special.get(i, i + rule[i % 4]) for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(6, 65, 2))
+def test_comb_tau_is_the_paper_table(n):
+    # comb_tau is built as comb_sigma's inverse; the paper tabulates it directly.
+    assert comb_tau(n).image == comb_tau_by_table(n)
+
+
 def test_comb_order_validation():
     with pytest.raises(OrderTooSmall):
         comb_sigma(4)

@@ -1,14 +1,17 @@
 from dataclasses import dataclass, field
-from itertools import combinations, permutations as perms, product
+from itertools import combinations, islice, permutations as perms, product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permdom import domination
 from permdom.constructions import comb_sigma, comb_tau, is_comb
 from permdom.domination import (
     _memberships,
-    _minimum_covers,
+    _count_walk,
+    _covers,
     all_minimum_dominating_sets,
     count_minimum_dominating_sets,
     count_singleton_dominators,
@@ -21,7 +24,11 @@ from permdom.domination import (
 )
 from permdom.graph import build_graph, is_connected, vertices_of
 from permdom.perm import Permutation, decreasing, parse_permutation
-from domination_reference import is_dominating, is_efficient_dominating
+from domination_reference import (
+    is_dominating,
+    is_efficient_dominating,
+    minimum_sets_by_plain_enumeration,
+)
 
 
 def identity(n: int) -> Permutation:
@@ -62,20 +69,6 @@ def graph(text):
     return build_graph(parse_permutation(text))
 
 
-def minimum_sets_by_plain_enumeration(g):
-    """Independent oracle: try every subset by ascending size, testing
-    coverage with vertex sets instead of the domination-matrix rows; every
-    dominating set of the first size that has one, in lexicographic order."""
-    nbhd = {v: set(g.neighbors(v)) | {v} for v in range(1, g.n + 1)}
-    everything = set(range(1, g.n + 1))
-    for size in range(1, g.n + 1):
-        found = [set(combo) for combo in combinations(range(1, g.n + 1), size)
-                 if set().union(*(nbhd[v] for v in combo)) == everything]
-        if found:
-            return found
-    raise AssertionError
-
-
 def gamma_by_plain_enumeration(g):
     return len(minimum_sets_by_plain_enumeration(g)[0])
 
@@ -95,8 +88,8 @@ def first_cover_by_plain_enumeration(rows, full):
 def assert_matches_plain_enumeration(g):
     expected = minimum_sets_by_plain_enumeration(g)
     assert sorted(domination_number_exact(g).witness) == sorted(expected[0])
-    assert all_minimum_dominating_sets(g) == expected
     assert count_minimum_dominating_sets(g) == len(expected)
+    assert all_minimum_dominating_sets(g) == expected
 
 
 def test_is_dominating_examples():
@@ -134,9 +127,23 @@ def test_gamma_of_connected_graphs_at_most_half_n(n):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_witness_and_minimum_sets_match_plain_enumeration(n):
+def test_witness_and_minimum_sets_match_plain_enumeration(n, monkeypatch):
+    # One walk per graph answers the witness, the count and the listing: the
+    # root of each size from 2 to gamma is entered once, and never again.
+    roots = []
+    walk = domination._count_covers
+
+    def spy(rows, missing, start, left, memo):
+        if start == 0 and missing == (1 << n) - 1:
+            roots.append(left)
+        return walk(rows, missing, start, left, memo)
+
+    monkeypatch.setattr(domination, "_count_covers", spy)
     for image in perms(range(1, n + 1)):
-        assert_matches_plain_enumeration(build_graph(Permutation(image)))
+        g = build_graph(Permutation(image))
+        roots.clear()
+        assert_matches_plain_enumeration(g)
+        assert roots == list(range(2, domination_number_exact(g).gamma + 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -157,7 +164,7 @@ def test_minimum_cover_matches_plain_enumeration_on_the_s8_sweep():
     card = _subset_tables(8)[1]
     size = [sum(1 << t for t, c in enumerate(card) if c == k) for k in range(9)]
     for image, rows, *_, dom in leaves(8):
-        (cover,) = _minimum_covers(rows, full, 1)
+        cover = next(_covers(rows, full, 0, *_count_walk(rows, full)))
         assert cover == first_cover_by_plain_enumeration(rows, full)
         gamma = _gamma(dom, card)
         assert gamma == len(cover)
@@ -166,21 +173,40 @@ def test_minimum_cover_matches_plain_enumeration_on_the_s8_sweep():
             (dom & size[gamma]).bit_count())
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 6).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1)))), min_size=1, max_size=8))
-@example([[3, 2, 1]] * 21)  # 3^21 minimum sets
-def test_count_of_a_direct_sum_is_the_product_of_its_blocks_listings(blocks):
+LISTED_AT_MOST = 5000  # past this many sets, compare a prefix of the listing
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 7).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))), min_size=1, max_size=10)
+    .filter(lambda blocks: sum(map(len, blocks)) <= 40))
+@example([[3, 2, 1]] * 21)  # 3^21 minimum sets: the listing's prefix
+@example([[1], [2, 3, 1], [1, 2], [2, 1]])
+def test_a_direct_sum_is_solved_as_the_product_of_its_blocks(blocks):
     # Each block shifted above the ones before it: the direct sum's graph is
     # the disjoint union of the blocks' graphs.
     image: list[int] = []
-    product_of_listings = 1
+    per_block = []
     for block in blocks:
+        per_block.append([{len(image) + v for v in d} for d in
+                          minimum_sets_by_plain_enumeration(
+                              build_graph(Permutation(tuple(block))))])
         image += [len(image) + v for v in block]
-        product_of_listings *= len(all_minimum_dominating_sets(
-            build_graph(Permutation(tuple(block)))))
     g = build_graph(Permutation(tuple(image)))
-    assert count_minimum_dominating_sets(g) == product_of_listings
+    result = domination_number_exact(g)
+    assert result.gamma == sum(len(sets[0]) for sets in per_block)
+    assert result.witness == set().union(*(sets[0] for sets in per_block))
+    count = count_minimum_dominating_sets(g)
+    assert count == prod(map(len, per_block))
+    # The first block outermost: the lexicographic order of the whole.
+    product_of_lists = (set().union(*pick) for pick in product(*per_block))
+    if count <= LISTED_AT_MOST:
+        assert all_minimum_dominating_sets(g) == list(product_of_lists)
+    else:
+        listed = (frozenset(i + 1 for i in combo)
+                  for combo in domination._minimum_covers(g))
+        assert list(islice(listed, LISTED_AT_MOST)) == list(
+            islice(product_of_lists, LISTED_AT_MOST))
 
 
 @pytest.mark.parametrize("build", [comb_sigma, comb_tau])
